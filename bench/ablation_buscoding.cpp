@@ -16,12 +16,9 @@
 #include <iostream>
 
 #include "bench_util.h"
-#include "trace/report.h"
-
-#if defined(SCT_HAVE_ENC)
 #include "enc/codecs.h"
 #include "power/tl1_power_model.h"
-#endif
+#include "trace/report.h"
 
 namespace {
 
@@ -64,7 +61,6 @@ int main() {
               "sequential step — the classic low-power bus encoding "
               "result.\n\n");
 
-#if defined(SCT_HAVE_ENC)
   // --- (a') Cross-check: analytic counts vs the in-simulator codec ----
   // The counts above are pencil-and-paper; the enc subsystem drives the
   // same encoding through the real TL1 bus. Replaying the identical
@@ -110,7 +106,6 @@ int main() {
       return 1;
     }
   }
-#endif
 
   // --- (b) Data-path width for a 256-byte transfer --------------------
   std::printf("Ablation (b): moving 256 bytes RAM -> RAM, by access "

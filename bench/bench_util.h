@@ -34,7 +34,7 @@ namespace sct::bench {
 
 /// The benchmark binary's own build type, baked in at compile time.
 /// Recorded into the google-benchmark JSON context (key
-/// `sct_build_type`) so the guard in scripts/bench_*.sh can validate
+/// `sct_build_type`) so the guard in scripts/bench.sh can validate
 /// the binary that actually produced the numbers — the CMake cache of
 /// the build directory can lie (stale cache, binary copied between
 /// trees); the binary cannot.

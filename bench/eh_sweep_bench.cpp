@@ -13,7 +13,7 @@
 //                            to the marker, snapshot, and run every
 //                            variant from a restored fork
 //                            (ckpt::ForkRunner). threads:1 isolates
-//                            the amortization win (scripts/bench_eh.sh
+//                            the amortization win (scripts/bench.sh eh
 //                            records it as fork_sweep_over_boot_sweep);
 //                            higher counts add worker scaling, which
 //                            needs free host cores to show — read it

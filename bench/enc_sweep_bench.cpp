@@ -12,7 +12,7 @@
 //   Enc_ForkSweep/threads:N — the enc::SweepRunner path: boot ONE
 //                             parent, snapshot, and run every variant
 //                             from a restored fork. threads:1 isolates
-//                             the amortization win (scripts/bench_enc.sh
+//                             the amortization win (scripts/bench.sh enc
 //                             records it as fork_sweep_over_boot_sweep);
 //                             higher counts add worker scaling, which
 //                             needs free host cores to show — read it

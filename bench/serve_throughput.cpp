@@ -13,7 +13,7 @@
 //                            instance, recycle from the golden
 //                            snapshot + one auth session per
 //                            iteration. The recycle/boot rate ratio is
-//                            the headline (scripts/bench_serve.sh
+//                            the headline (scripts/bench.sh serve
 //                            records it as restore_recycle_over_
 //                            boot_per_session).
 //   Serve_Throughput/workers:N — end-to-end engine rate in sessions

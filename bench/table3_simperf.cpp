@@ -221,7 +221,7 @@ void Hybrid_SpaDpa(benchmark::State& state) {
 // the quiesce point and restores the snapshot into each variant
 // (src/ckpt). items_per_second counts completed variants, so the
 // Fork_Sweep / Boot_Sweep ratio is the fork speed-up recorded by
-// scripts/bench_table3.sh as speedup.fork_over_boot_sweep.
+// scripts/bench.sh table3 as speedup.fork_over_boot_sweep.
 
 using SweepSoc = soc::SmartCardSoC<bus::Tl1Bus>;
 
@@ -326,7 +326,7 @@ void Fork_Sweep(benchmark::State& state) {
 // outer trip) runs once with the decoded-block frontend — the
 // production default — and once with plain decode-on-fetch, the seed
 // baseline. items_per_second counts executed instructions, and
-// scripts/bench_table3.sh records the ratio as
+// scripts/bench.sh table3 records the ratio as
 // speedup.decoded_block_over_seed.
 constexpr const char* kIssFirmware = R"(
     li    $s2, 0x08000000    # RAM base

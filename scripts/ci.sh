@@ -5,13 +5,18 @@
 #
 # Pass 1 — the shipping configuration: Release (LTO) configure with
 # warnings-as-errors, build everything (libraries, tests, benches), run
-# the whole test suite, then smoke-run the Table 3 bench (tiny
-# workload, minimal timing — proves the bench binary and its JSON
-# output stay alive, measures nothing).
+# the whole test suite.
 # Pass 2 — the same suite under AddressSanitizer + UndefinedBehavior-
-# Sanitizer (the SCT_SANITIZE option; it disables LTO itself).
+# Sanitizer (the SCT_SANITIZE option; it disables LTO itself and makes
+# every UB report fatal).
+# Pass 3 — the same suite with SCT_OBS=OFF, the one remaining build
+# switch, so the compiled-out observability stubs keep building.
+# Finally every bench runs once through scripts/bench.sh on the pass-1
+# build (tiny workload, minimal timing, JSON into a temp dir — proves
+# the binaries and the script's ratio tables stay alive, measures
+# nothing).
 #
-# Both passes use the presets in CMakePresets.json, so what CI checks
+# All passes use the presets in CMakePresets.json, so what CI checks
 # is exactly what `cmake --preset release` gives a developer.
 set -eu
 
@@ -25,55 +30,27 @@ run() {
   "$@"
 }
 
-for preset in release asan-ubsan; do
+for preset in release asan-ubsan obs-off; do
   run cmake --preset "$preset" -DSCT_WERROR=ON
   run cmake --build --preset "$preset" --parallel "$jobs"
   run ctest --preset "$preset" --parallel "$jobs"
-  # The adaptive-fidelity equivalence suite is the gate for the hybrid
-  # TL1/TL2 bus: run the `hier` label explicitly so a filter or preset
-  # change can never silently drop it from the pass.
-  run ctest --preset "$preset" -L hier --parallel "$jobs"
-  # Same for the checkpoint/restore gate: restore-equivalence is what
-  # makes fork-based exploration trustworthy.
-  run ctest --preset "$preset" -L ckpt --parallel "$jobs"
-  # And for the ISS decoded-block dispatch loop: the `iss` label runs
-  # the block-cache equivalence and self-modifying-code suites, under
-  # sanitizers in pass 2.
-  run ctest --preset "$preset" -L iss --parallel "$jobs"
-  # And for the card-farm serving subsystem: the `serve` label covers
-  # the NDJSON protocol, golden-snapshot recycle bit-identity, the
-  # threads=1 vs threads=N determinism headline, and the SIGTERM
-  # mid-batch drain against the real daemon binary — the work-stealing
-  # pool teardown must be sanitizer-clean in pass 2.
-  run ctest --preset "$preset" -L serve --parallel "$jobs"
-  # And for the intermittent-power subsystem: the `eh` label covers the
-  # supply integrator, brownout detector, backup schemes, and the
-  # threads=1 vs threads=N sweep bit-identity that makes backup-scheme
-  # exploration trustworthy.
-  run ctest --preset "$preset" -L eh --parallel "$jobs"
-  # And for the side-channel subsystem: the `sca` label covers the
-  # corpus format (golden bytes + negative paths), the coprocessor leak
-  # model, and the attack headlines — unprotected key-byte recovery,
-  # masked non-recovery, and the corpus/ranking bit-identity across
-  # threads and chunk sizes.
-  run ctest --preset "$preset" -L sca --parallel "$jobs"
-  # And for the bus-encoding subsystem: the `enc` label covers the codec
-  # round-trip algebra, the no-codec/identity byte-equivalence pin that
-  # protects every pre-codec golden output, and the codec x workload
-  # sweep's threads=1 vs threads=N bit-identity.
-  run ctest --preset "$preset" -L enc --parallel "$jobs"
+  # The gating suites also run by label, so a filter or preset change
+  # can never silently drop one from a pass (tests/CMakeLists.txt says
+  # what each label covers): hybrid TL1/TL2 equivalence (hier),
+  # restore-equivalence (ckpt), decoded-block dispatch (iss), the
+  # card-farm daemon incl. its SIGTERM drain (serve), and the eh, sca
+  # and enc threads=1 vs threads=N bit-identity headlines.
+  for label in hier ckpt iss serve eh sca enc; do
+    run ctest --preset "$preset" -L "$label" --parallel "$jobs"
+  done
 done
 
 echo "==> bench smoke (tiny workload)"
-run env SCT_BENCH_TINY=1 ./build/bench/table3_simperf \
-  --benchmark_min_time=0.01
-run env SCT_BENCH_TINY=1 ./build/bench/serve_throughput \
-  --benchmark_min_time=0.01
-run env SCT_BENCH_TINY=1 ./build/bench/eh_sweep_bench \
-  --benchmark_min_time=0.01
-run env SCT_BENCH_TINY=1 ./build/bench/sca_bench \
-  --benchmark_min_time=0.01
-run env SCT_BENCH_TINY=1 ./build/bench/enc_sweep_bench \
-  --benchmark_min_time=0.01
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+for name in table3 serve eh sca enc; do
+  run env SCT_BENCH_TINY=1 SCT_BENCH_ARGS=--benchmark_min_time=0.01 \
+    scripts/bench.sh "$name" build "$tmp/$name.json"
+done
 
-echo "CI: both passes green"
+echo "CI: all passes green"

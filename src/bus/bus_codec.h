@@ -37,7 +37,7 @@
 //
 // This header lives in bus/ (like Tl1Observer) so the bus can call the
 // codec without depending on src/enc/; the concrete codecs live in the
-// SCT_ENC-gated enc library.
+// enc library.
 #ifndef SCT_BUS_BUS_CODEC_H
 #define SCT_BUS_BUS_CODEC_H
 

@@ -83,6 +83,9 @@ class StateReader {
 
   void bytes(void* dst, std::size_t n) {
     need(n);
+    // memcpy with a null pointer is UB even for n == 0, and an empty
+    // destination (e.g. an empty vector's data()) may be null.
+    if (n == 0) return;
     std::memcpy(dst, data_ + pos_, n);
     pos_ += n;
   }

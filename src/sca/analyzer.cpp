@@ -11,10 +11,6 @@ namespace sct::sca {
 
 namespace {
 
-std::uint32_t rotl32(std::uint32_t v, unsigned k) {
-  return k == 0 ? v : (v << k) | (v >> (32 - k));
-}
-
 /// Exact integer moment sums. Element-wise addition is associative and
 /// commutative over integers, so any partition of the trace stream
 /// merges to the same accumulator — the root of the chunk-size and
@@ -175,9 +171,9 @@ unsigned DpaAnalyzer::hypothesis(const TraceMeta& meta, unsigned byteIndex,
   // rotates it left by 5; XOR with the known bits at the landed
   // positions predicts this byte's toggle contribution.
   const std::uint32_t landed =
-      rotl32(static_cast<std::uint32_t>(sout) << (8 * byteIndex), 5);
+      std::rotl(static_cast<std::uint32_t>(sout) << (8 * byteIndex), 5);
   const std::uint32_t knownMask =
-      rotl32(0xFFu << (8 * byteIndex), 5);
+      std::rotl(0xFFu << (8 * byteIndex), 5);
   return static_cast<unsigned>(std::popcount((known & knownMask) ^ landed));
 }
 

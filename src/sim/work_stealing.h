@@ -77,7 +77,9 @@ class WorkStealingPool {
 
   /// -- Scheduler diagnostics (monotonic, racy-read safe) --------------
   /// Number of successful steal operations and total tasks migrated by
-  /// them. steals() == 0 on a threads=1 pool by construction.
+  /// them. Loot lands on the thief's deque and may be stolen again, so
+  /// a task counts once per migration. steals() == 0 on a threads=1
+  /// pool by construction.
   std::uint64_t steals() const { return steals_.load(std::memory_order_relaxed); }
   std::uint64_t stolenTasks() const {
     return stolenTasks_.load(std::memory_order_relaxed);

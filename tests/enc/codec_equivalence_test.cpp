@@ -3,8 +3,8 @@
 // SAME simulation — elapsed cycles, read payloads, bus statistics,
 // per-signal transition counts, model energy (exact double equality),
 // memory digests, and the serialized checkpoint bytes all match, and
-// the EB_Inv sideband never toggles. This is what lets SCT_ENC=OFF (or
-// codec-less) builds keep every existing golden output byte-identical.
+// the EB_Inv sideband never toggles. This is what lets codec-less runs
+// keep every existing golden output byte-identical.
 //
 // The functional half of the contract covers every concrete codec: the
 // decode(encode(x)) routing in the bus means payloads, memory images

@@ -69,9 +69,16 @@ TEST(WorkStealingPool, ImbalancedPinningGetsStolen) {
   ASSERT_EQ(count.load(), kTasks) << "pinned tasks never got stolen";
   release = true;
   pool.wait();
-  EXPECT_GT(pool.steals(), 0u);
-  EXPECT_GT(pool.stolenTasks(), 0u);
-  EXPECT_LE(pool.stolenTasks(), static_cast<std::uint64_t>(kTasks) + 1);
+  // stolenTasks() counts migrations, not distinct tasks: a thief's loot
+  // sits on the thief's own deque and a third worker may steal it
+  // again, so no bound in terms of kTasks holds. What holds by
+  // construction: every steal moves at least one task, and at most
+  // half (rounded up) of a victim that never held more than the
+  // kTasks + 1 tasks ever submitted.
+  const std::uint64_t steals = pool.steals();
+  EXPECT_GT(steals, 0u);
+  EXPECT_GE(pool.stolenTasks(), steals);
+  EXPECT_LE(pool.stolenTasks(), steals * ((kTasks + 2) / 2));
 }
 
 TEST(WorkStealingPool, SingleThreadNeverSteals) {
