@@ -18,7 +18,7 @@
 //                            boot_per_session).
 //   Serve_Throughput/workers:N — end-to-end engine rate in sessions
 //                            per second (items_per_second) with a
-//                            work-stealing pool of N workers serving a
+//                            FIFO pool of N workers serving a
 //                            mixed-scenario batch. Real-time based:
 //                            the sessions run on pool threads, not the
 //                            benchmark thread. Scaling beyond 1 worker

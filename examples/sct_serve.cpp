@@ -2,8 +2,8 @@
 //
 // Boots the smart-card platform ONCE to a golden quiesce-point
 // snapshot, then serves APDU session jobs from a pool of card
-// instances recycled from that snapshot, sharded across a
-// work-stealing scheduler. Jobs are newline-delimited JSON on stdin
+// instances recycled from that snapshot, dispatched in arrival order
+// over a shared worker pool. Jobs are newline-delimited JSON on stdin
 // (or a unix socket); each finished session streams one result line
 // with its energy totals and per-bundle/per-class attribution.
 //

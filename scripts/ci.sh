@@ -7,8 +7,10 @@
 # warnings-as-errors, build everything (libraries, tests, benches), run
 # the whole test suite.
 # Pass 2 — the same suite under AddressSanitizer + UndefinedBehavior-
-# Sanitizer (the SCT_SANITIZE option; it disables LTO itself and makes
-# every UB report fatal).
+# Sanitizer incl. float-cast-overflow (the SCT_SANITIZE option; it
+# disables LTO itself and makes every UB report fatal), built without
+# -march=native so the portable popcount path of the frame-energy
+# engine is the one tested.
 # Pass 3 — the same suite with SCT_OBS=OFF, the one remaining build
 # switch, so the compiled-out observability stubs keep building.
 # Finally every bench runs once through scripts/bench.sh on the pass-1

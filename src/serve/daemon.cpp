@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <utility>
@@ -54,7 +55,13 @@ void ServeEngine::submitLine(const std::string& line, Sink sink) {
       job.scenario = sc->asString();
     }
     if (const JsonValue* seed = v.find("seed")) {
-      job.seed = static_cast<std::uint64_t>(seed->asNumber());
+      // Exact integers only: casting a negative, non-finite or
+      // out-of-range double to uint64 is undefined behaviour.
+      const double d = seed->asNumber();
+      if (!(d >= 0.0 && d <= 0x1p53 && d == std::floor(d))) {
+        throw JsonError("\"seed\" must be an integer in [0, 2^53]");
+      }
+      job.seed = static_cast<std::uint64_t>(d);
     }
     if (const JsonValue* f = v.find("fidelity")) {
       job.fidelity = f->asString();

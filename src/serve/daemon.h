@@ -2,12 +2,14 @@
 //
 // ServeEngine is the heart: it boots ONE card to a golden quiesce
 // snapshot (CardInstance::bootGolden), keeps a lazily built pool of
-// per-worker CardInstances, and dispatches session jobs over a
-// sim::WorkStealingPool. Each job recycles its worker's instance from
-// the golden snapshot (restore ≫ faster than booting, and it rewinds
-// the power accumulators for bit-identical deltas), runs the scenario
-// script, and streams one NDJSON result line through the job's sink
-// as soon as it finishes. Sinks are invoked under one engine-wide
+// per-worker CardInstances, and dispatches session jobs in arrival
+// order over a sim::ParallelRunner, the same FIFO pool the sweeps use.
+// Any idle worker takes the oldest job, because a job needs no
+// particular worker: it recycles whichever instance its worker owns
+// from the golden snapshot (restore ≫ faster than booting, and it
+// rewinds the power accumulators for bit-identical deltas), runs the
+// scenario script, and streams one NDJSON result line through the
+// job's sink as soon as it finishes. Sinks are invoked under one engine-wide
 // mutex and emit a line atomically, so concurrent workers can never
 // interleave partial lines — the shutdown regression test reads
 // daemon output mid-kill and every line must still parse.
@@ -44,7 +46,7 @@
 
 #include "power/coeff_table.h"
 #include "serve/card_instance.h"
-#include "sim/work_stealing.h"
+#include "sim/parallel_runner.h"
 
 namespace sct::serve {
 
@@ -99,7 +101,7 @@ class ServeEngine {
 
   power::SignalEnergyTable table_;
   ckpt::Snapshot golden_;
-  sim::WorkStealingPool pool_;
+  sim::ParallelRunner pool_;
   std::vector<std::unique_ptr<CardInstance>> instances_;
   std::mutex emitMutex_;
   std::atomic<std::uint64_t> completed_{0};

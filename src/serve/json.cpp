@@ -128,9 +128,16 @@ class Parser {
   }
 
   JsonValue parseValue() {
-    switch (peek()) {
-      case '{': return parseObject();
-      case '[': return parseArray();
+    const char c = peek();
+    if (c == '{' || c == '[') {
+      // One frame per level: without a cap, a hostile line of brackets
+      // recurses the reader thread off its stack.
+      if (++depth_ > kMaxDepth) fail("nesting too deep");
+      JsonValue v = c == '{' ? parseObject() : parseArray();
+      --depth_;
+      return v;
+    }
+    switch (c) {
       case '"': return JsonValue::makeString(parseString());
       case 't':
         if (!consumeKeyword("true")) fail("bad keyword");
@@ -271,8 +278,11 @@ class Parser {
     return JsonValue::makeNumber(d);
   }
 
+  static constexpr std::size_t kMaxDepth = 64;  ///< The protocol nests 1.
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 } // namespace

@@ -4,11 +4,12 @@
 // The daemon cannot take a third-party JSON dependency (the toolchain
 // image is frozen), and the protocol needs only the scalar subset:
 // objects, arrays, strings, doubles, bools, null. The parser is a
-// strict recursive-descent over one line; the writer escapes strings
-// per RFC 8259 and prints doubles with %.17g so a value survives a
-// parse→print round trip BIT-EXACT — the session determinism suite
-// compares result lines as strings, which only works because the
-// energy doubles are printed losslessly.
+// strict recursive-descent over one line, nesting at most 64 levels
+// deep (deeper input is a JsonError, not a stack overflow); the
+// writer escapes strings per RFC 8259 and prints doubles with %.17g
+// so a value survives a parse→print round trip BIT-EXACT — the
+// session determinism suite compares result lines as strings, which
+// only works because the energy doubles are printed losslessly.
 #ifndef SCT_SERVE_JSON_H
 #define SCT_SERVE_JSON_H
 

@@ -5,11 +5,17 @@
 
 namespace sct::sim {
 
+namespace {
+/// Worker identity for currentWorker(): set once per worker thread.
+thread_local const ParallelRunner* tlsRunner = nullptr;
+thread_local unsigned tlsWorker = ParallelRunner::kNotAWorker;
+} // namespace
+
 ParallelRunner::ParallelRunner(unsigned threads) {
   if (threads == 0) threads = defaultThreadCount();
   workers_.reserve(threads);
   for (unsigned i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { workerLoop(); });
+    workers_.emplace_back([this, i] { workerLoop(i); });
   }
 }
 
@@ -37,7 +43,24 @@ void ParallelRunner::wait() {
   allDone_.wait(lock, [this] { return inFlight_ == 0; });
 }
 
-void ParallelRunner::workerLoop() {
+std::size_t ParallelRunner::cancelPending() {
+  std::deque<Task> dropped;  // Destroyed after the lock is released.
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    dropped.swap(queue_);
+    inFlight_ -= dropped.size();
+    if (inFlight_ == 0) allDone_.notify_all();
+  }
+  return dropped.size();
+}
+
+unsigned ParallelRunner::currentWorker() const {
+  return tlsRunner == this ? tlsWorker : kNotAWorker;
+}
+
+void ParallelRunner::workerLoop(unsigned self) {
+  tlsRunner = this;
+  tlsWorker = self;
   for (;;) {
     Task task;
     {

@@ -17,12 +17,14 @@
 //  * anything attached to a Kernel must be created and destroyed
 //    inside one task.
 //
-// This runner keeps ONE shared FIFO — right for uniform sweeps, where
-// every worker drains the same queue. Workloads with per-worker
-// affinity (the serve daemon's card pool: each worker owns a live
-// platform instance and tasks should stick to it unless a peer runs
-// dry) use sim::WorkStealingPool (work_stealing.h), which extends this
-// design with per-worker deques and steal-half rebalancing.
+// One shared FIFO serves both the fixed sweeps above and the serve
+// daemon's card farm. A farm job never needs a particular worker: it
+// recycles whichever worker's card instance it lands on (found through
+// currentWorker()) from the golden snapshot. So any idle worker can
+// take the oldest queued job, and per-worker queues would buy nothing.
+// The one mutex is held only for a push or a pop, which is negligible
+// next to even the shortest served session.
+// Graceful shutdown is cancelPending() then wait().
 #ifndef SCT_SIM_PARALLEL_RUNNER_H
 #define SCT_SIM_PARALLEL_RUNNER_H
 
@@ -59,8 +61,17 @@ class ParallelRunner {
   /// signal errors through their result slots instead).
   void submit(Task task);
 
-  /// Block until every submitted task has finished.
+  /// Block until every submitted task has finished or been cancelled.
   void wait();
+
+  /// Drop every task that has not started yet and return how many were
+  /// dropped. Tasks already executing finish normally.
+  std::size_t cancelPending();
+
+  /// Index of the worker running the calling thread, or kNotAWorker
+  /// when called from outside this runner (e.g. the submitting thread).
+  static constexpr unsigned kNotAWorker = ~0u;
+  unsigned currentWorker() const;
 
   /// Hardware concurrency, overridable with the SCT_THREADS
   /// environment variable (useful to pin benches to one core or to
@@ -74,7 +85,7 @@ class ParallelRunner {
                          const std::function<void(std::size_t)>& fn);
 
  private:
-  void workerLoop();
+  void workerLoop(unsigned self);
 
   std::vector<std::thread> workers_;
   std::deque<Task> queue_;

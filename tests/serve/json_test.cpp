@@ -56,6 +56,8 @@ TEST(ServeJson, RejectsMalformedInput) {
   EXPECT_THROW(parseJson("\"unterminated"), JsonError);
   EXPECT_THROW(parseJson("{\"a\":01x}"), JsonError);
   EXPECT_THROW(parseJson("nul"), JsonError);
+  // Deep nesting is refused cleanly instead of overflowing the stack.
+  EXPECT_THROW(parseJson(std::string(100000, '[')), JsonError);
 }
 
 TEST(ServeJson, WriterEscapesStrings) {

@@ -212,13 +212,19 @@ TEST(ServeEngine, ProtocolErrorsComeBackAsErrorLines) {
   engine.submitLine("{\"id\":\"y\",\"scenario\":\"nope\"}", sink);
   engine.submitLine(
       "{\"id\":\"z\",\"scenario\":\"auth\",\"fidelity\":\"tl2\"}", sink);
+  // Negative, out-of-range and fractional seeds are refused, not cast.
+  for (const char* seed : {"-1", "1e300", "1.5"}) {
+    engine.submitLine(
+        std::string(R"({"id":"s","scenario":"auth","seed":)") + seed + "}",
+        sink);
+  }
   engine.drain();
-  ASSERT_EQ(lines.size(), 4u);
+  ASSERT_EQ(lines.size(), 7u);
   for (const std::string& line : lines) {
     const serve::JsonValue v = serve::parseJson(line);
     EXPECT_EQ(v.find("event")->asString(), "error");
   }
-  EXPECT_EQ(engine.errors(), 4u);
+  EXPECT_EQ(engine.errors(), 7u);
   EXPECT_EQ(engine.completed(), 0u);
 }
 
