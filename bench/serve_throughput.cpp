@@ -82,7 +82,7 @@ void Serve_BootPerSession(benchmark::State& state) {
     serve::CardInstance card(table);
     serve::SessionOutcome o = card.runSession(authSteps());
     if (!o.ok) state.SkipWithError("session failed");
-    benchmark::DoNotOptimize(o.energy.total);
+    benchmark::DoNotOptimize(o.energy.total());
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -96,7 +96,7 @@ void Serve_RestoreRecycle(benchmark::State& state) {
     card.recycle(golden);
     serve::SessionOutcome o = card.runSession(authSteps());
     if (!o.ok) state.SkipWithError("session failed");
-    benchmark::DoNotOptimize(o.energy.total);
+    benchmark::DoNotOptimize(o.energy.total());
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
       seg.addRow({std::to_string(shown),
                   kcyc(s.wallEnd - s.wallStart),
                   kcyc(s.simEnd - s.simStart),
-                  Table::num(s.energy.total, 1)});
+                  Table::num(s.energy.total().fJ(), 1)});
     }
     seg.print(std::cout);
     break;

@@ -182,8 +182,8 @@ class Tl1Observer {
   /// callbacks above, and MUST NOT also deliver those callbacks (the
   /// events would be double-counted). Publishers that do not know
   /// about fusing simply use the observer interface; both paths run
-  /// the same engine code in the same order, so the results are
-  /// bit-identical. Returning nullptr (the default) opts out.
+  /// the same engine code, so the results are bit-identical. Returning
+  /// nullptr (the default) opts out.
   virtual Tl1FrameEnergy* fusedFrameEnergy() { return nullptr; }
 };
 

@@ -247,7 +247,7 @@ EncOutcome measure(Platform& p, trace::ReplayMaster& master,
                       ? out.total_fJ / static_cast<double>(out.transactions)
                       : 0.0;
   const auto bundle = [&d](bus::SignalId id) {
-    return d.byBundle[static_cast<std::size_t>(id)];
+    return d.byBundle[static_cast<std::size_t>(id)].fJ();
   };
   out.dataBus_fJ = bundle(bus::SignalId::EB_RData) +
                    bundle(bus::SignalId::EB_WData) +

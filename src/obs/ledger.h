@@ -11,20 +11,11 @@
 // what").
 //
 // Reconciliation contract (enforced by tests/obs/ledger_reconcile_test):
-// total_fJ() is BIT-IDENTICAL to the attached model's totalEnergy_fJ().
-// That works because the ledger replays the model's floating-point
-// accumulation exactly:
-//  * Tl2PowerModel adds one energy term per addTransitions() call and
-//    forwards the identical term to add(), which applies `total_ += e`
-//    in the same sequence;
-//  * Tl1PowerModel accumulates a per-cycle sum in bundle-index order
-//    and adds it to its total once per busCycleEnd; the model forwards
-//    each term to addDeferred() (same order, same partial-sum shape)
-//    and calls commitCycle() where the model adds — identical operation
-//    sequence, identical rounding, identical bits.
-// The dimensional splits are ordinary per-dimension accumulators; their
-// cross-sums agree with the total only up to floating-point
-// reassociation, which is exactly why the dedicated total exists.
+// the attached model forwards every energy term it adds to its own
+// total, and every accumulator is an exact integer bus::Energy, so each
+// dimension — by bundle, by class, by slave, by master — sums to the
+// model's total exactly, whatever order the terms arrive in. The ledger
+// keeps no total of its own: its total is the sum of the bundles.
 #ifndef SCT_OBS_LEDGER_H
 #define SCT_OBS_LEDGER_H
 
@@ -33,6 +24,7 @@
 
 #include "bus/ec_signals.h"
 #include "bus/ec_types.h"
+#include "bus/energy.h"
 #include "ckpt/state_io.h"
 #include "obs/obs.h"
 
@@ -77,59 +69,46 @@ inline constexpr std::size_t kLedgerMasterSlots = 4;
 /// and streams `delta(end, start)` per session while the simulation
 /// keeps accumulating. Views also merge (fleet aggregation across
 /// workers), mirroring obs::merge for registry snapshots.
-///
-/// Determinism note: delta() subtracts doubles, which is only
-/// bit-stable when the start state is bit-stable. The serve pool
-/// guarantees that by restoring the ledger (with the rest of the
-/// platform) from the boot snapshot before every session, so equal
-/// sessions produce bit-identical deltas on any worker — the
-/// threads=1 vs threads=N suite pins this down.
 struct LedgerView {
-  std::array<double, bus::kSignalCount> byBundle{};
-  std::array<double, kTxClassCount> byClass{};
-  std::array<double, kLedgerSlaveSlots> bySlave{};
-  std::array<double, kLedgerMasterSlots> byMaster{};
-  double total = 0.0;
+  std::array<bus::Energy, bus::kSignalCount> byBundle{};
+  std::array<bus::Energy, kTxClassCount> byClass{};
+  std::array<bus::Energy, kLedgerSlaveSlots> bySlave{};
+  std::array<bus::Energy, kLedgerMasterSlots> byMaster{};
+
+  /// Every contribution lands in exactly one bundle.
+  bus::Energy total() const {
+    bus::Energy t;
+    for (const bus::Energy e : byBundle) t += e;
+    return t;
+  }
+
+  /// Call `fn(mine, theirs)` on every accumulator of this view and the
+  /// matching one of `other`.
+  template <typename Fn>
+  void zip(const LedgerView& other, Fn fn) {
+    const auto each = [&fn](auto& mine, const auto& theirs) {
+      for (std::size_t i = 0; i < mine.size(); ++i) fn(mine[i], theirs[i]);
+    };
+    each(byBundle, other.byBundle);
+    each(byClass, other.byClass);
+    each(bySlave, other.bySlave);
+    each(byMaster, other.byMaster);
+  }
 
   bool operator==(const LedgerView&) const = default;
 };
 
 /// Component-wise `end - start`: the attribution accumulated between
 /// two snapshots of the SAME ledger.
-inline LedgerView delta(const LedgerView& end, const LedgerView& start) {
-  LedgerView d;
-  for (std::size_t i = 0; i < d.byBundle.size(); ++i) {
-    d.byBundle[i] = end.byBundle[i] - start.byBundle[i];
-  }
-  for (std::size_t i = 0; i < d.byClass.size(); ++i) {
-    d.byClass[i] = end.byClass[i] - start.byClass[i];
-  }
-  for (std::size_t i = 0; i < d.bySlave.size(); ++i) {
-    d.bySlave[i] = end.bySlave[i] - start.bySlave[i];
-  }
-  for (std::size_t i = 0; i < d.byMaster.size(); ++i) {
-    d.byMaster[i] = end.byMaster[i] - start.byMaster[i];
-  }
-  d.total = end.total - start.total;
-  return d;
+inline LedgerView delta(LedgerView end, const LedgerView& start) {
+  end.zip(start, [](bus::Energy& e, bus::Energy s) { e = e - s; });
+  return end;
 }
 
 /// Component-wise accumulate: fold `add` into `into` (aggregating
 /// per-session deltas into a fleet total).
 inline void merge(LedgerView& into, const LedgerView& add) {
-  for (std::size_t i = 0; i < into.byBundle.size(); ++i) {
-    into.byBundle[i] += add.byBundle[i];
-  }
-  for (std::size_t i = 0; i < into.byClass.size(); ++i) {
-    into.byClass[i] += add.byClass[i];
-  }
-  for (std::size_t i = 0; i < into.bySlave.size(); ++i) {
-    into.bySlave[i] += add.bySlave[i];
-  }
-  for (std::size_t i = 0; i < into.byMaster.size(); ++i) {
-    into.byMaster[i] += add.byMaster[i];
-  }
-  into.total += add.total;
+  into.zip(add, [](bus::Energy& e, bus::Energy a) { e += a; });
 }
 
 #if SCT_OBS_ENABLED
@@ -139,89 +118,60 @@ class EnergyLedger {
   static constexpr std::size_t kSlaveSlots = kLedgerSlaveSlots;
   static constexpr std::size_t kMasterSlots = kLedgerMasterSlots;
 
-  /// Record one energy contribution immediately (interval-style models:
-  /// one term per estimation call). Out of line: the caller is the
+  /// Record one energy contribution. Out of line: the caller is the
   /// models' per-signal hot path, which should carry only the
   /// ledger-attached pointer test.
   SCT_OBS_COLD void add(bus::SignalId bundle, TxClass cls, int slave,
-                        int master, double fJ) {
-    account(bundle, cls, slave, master, fJ);
-    total_fJ_ += fJ;
+                        int master, bus::Energy e) {
+    v_.byBundle[static_cast<std::size_t>(bundle)] += e;
+    v_.byClass[static_cast<std::size_t>(cls)] += e;
+    v_.bySlave[slaveSlot(slave)] += e;
+    v_.byMaster[masterSlot(master)] += e;
   }
 
-  /// Record one contribution of the cycle in progress (cycle-accurate
-  /// models): the splits update now, the total on commitCycle() — the
-  /// same two-step accumulation Tl1PowerModel::busCycleEnd performs.
-  SCT_OBS_COLD void addDeferred(bus::SignalId bundle, TxClass cls, int slave,
-                                int master, double fJ) {
-    account(bundle, cls, slave, master, fJ);
-    cycle_fJ_ += fJ;
-  }
-
-  /// Fold the deferred cycle sum into the total (once per bus cycle).
-  void commitCycle() {
-    total_fJ_ += cycle_fJ_;
-    cycle_fJ_ = 0.0;
-  }
-
-  /// Bit-identical to the attached model's totalEnergy_fJ().
-  double total_fJ() const { return total_fJ_; }
+  /// Equal to the attached model's totalEnergy_fJ().
+  double total_fJ() const { return v_.total().fJ(); }
 
   double byBundle_fJ(bus::SignalId id) const {
-    return byBundle_[static_cast<std::size_t>(id)];
+    return v_.byBundle[static_cast<std::size_t>(id)].fJ();
   }
   double byClass_fJ(TxClass c) const {
-    return byClass_[static_cast<std::size_t>(c)];
+    return v_.byClass[static_cast<std::size_t>(c)].fJ();
   }
   /// `slave` in [-1, kSlaveSlots - 2]; -1 aggregates decode misses.
   double bySlave_fJ(int slave) const {
-    return bySlave_[slaveSlot(slave)];
+    return v_.bySlave[slaveSlot(slave)].fJ();
   }
   double byMaster_fJ(int master) const {
-    return byMaster_[masterSlot(master)];
+    return v_.byMaster[masterSlot(master)].fJ();
   }
 
-  void reset() { *this = EnergyLedger{}; }
+  void reset() { v_ = LedgerView{}; }
 
-  /// Copy every accumulator into the streamable value type. Taken at a
-  /// session boundary (cycle_fJ_ folded already — the serve pool only
-  /// snapshots at quiesce, where commitCycle has run), paired with
+  /// Every accumulator, as the streamable value type; paired with
   /// delta() for per-session attribution.
-  LedgerView view() const {
-    LedgerView v;
-    v.byBundle = byBundle_;
-    v.byClass = byClass_;
-    v.bySlave = bySlave_;
-    v.byMaster = byMaster_;
-    v.total = total_fJ_;
-    return v;
-  }
+  const LedgerView& view() const { return v_; }
 
-  /// -- Checkpoint (see ckpt/checkpoint.h): every split accumulator and
-  /// both totals, bit-exact. The OBS=OFF stub writes the same-shaped
-  /// empty section so snapshots stay loadable across builds with the
-  /// hooks compiled out. Version 2: EB_Inv joined the signal
-  /// inventory, growing the per-bundle accumulator array by one slot.
-  static constexpr std::uint32_t kCkptVersion = 2;
+  /// -- Checkpoint (see ckpt/checkpoint.h): every split accumulator.
+  /// The OBS=OFF stub writes the same-shaped empty section so snapshots
+  /// stay loadable across builds with the hooks compiled out. Version
+  /// 3: integer accumulators, and no separate total.
+  static constexpr std::uint32_t kCkptVersion = 3;
 
   void saveState(ckpt::StateWriter& w) const {
     w.b(true);  // Accumulators present.
-    for (const double v : byBundle_) w.f64(v);
-    for (const double v : byClass_) w.f64(v);
-    for (const double v : bySlave_) w.f64(v);
-    for (const double v : byMaster_) w.f64(v);
-    w.f64(total_fJ_);
-    w.f64(cycle_fJ_);
+    for (const bus::Energy e : v_.byBundle) w.i64(e.quanta);
+    for (const bus::Energy e : v_.byClass) w.i64(e.quanta);
+    for (const bus::Energy e : v_.bySlave) w.i64(e.quanta);
+    for (const bus::Energy e : v_.byMaster) w.i64(e.quanta);
   }
 
   void loadState(ckpt::StateReader& r) {
     if (!r.b()) return;  // Saved by an OBS=OFF build: nothing recorded.
-    for (double& v : byBundle_) v = r.f64();
-    for (double& v : byClass_) v = r.f64();
-    for (double& v : bySlave_) v = r.f64();
-    for (double& v : byMaster_) v = r.f64();
-    total_fJ_ = r.f64();
-    cycle_fJ_ = r.f64();
+    for (bus::Energy& e : v_.byBundle) e.quanta = r.i64();
+    for (bus::Energy& e : v_.byClass) e.quanta = r.i64();
+    for (bus::Energy& e : v_.bySlave) e.quanta = r.i64();
+    for (bus::Energy& e : v_.byMaster) e.quanta = r.i64();
   }
 
  private:
@@ -234,20 +184,7 @@ class EnergyLedger {
     return m < kMasterSlots ? m : kMasterSlots - 1;
   }
 
-  void account(bus::SignalId bundle, TxClass cls, int slave, int master,
-               double fJ) {
-    byBundle_[static_cast<std::size_t>(bundle)] += fJ;
-    byClass_[static_cast<std::size_t>(cls)] += fJ;
-    bySlave_[slaveSlot(slave)] += fJ;
-    byMaster_[masterSlot(master)] += fJ;
-  }
-
-  std::array<double, bus::kSignalCount> byBundle_{};
-  std::array<double, kTxClassCount> byClass_{};
-  std::array<double, kSlaveSlots> bySlave_{};
-  std::array<double, kMasterSlots> byMaster_{};
-  double total_fJ_ = 0.0;
-  double cycle_fJ_ = 0.0;
+  LedgerView v_;
 };
 
 #else // !SCT_OBS_ENABLED
@@ -256,9 +193,7 @@ class EnergyLedger {
  public:
   static constexpr std::size_t kSlaveSlots = kLedgerSlaveSlots;
   static constexpr std::size_t kMasterSlots = kLedgerMasterSlots;
-  void add(bus::SignalId, TxClass, int, int, double) {}
-  void addDeferred(bus::SignalId, TxClass, int, int, double) {}
-  void commitCycle() {}
+  void add(bus::SignalId, TxClass, int, int, bus::Energy) {}
   double total_fJ() const { return 0.0; }
   double byBundle_fJ(bus::SignalId) const { return 0.0; }
   double byClass_fJ(TxClass) const { return 0.0; }
@@ -267,14 +202,14 @@ class EnergyLedger {
   void reset() {}
   LedgerView view() const { return LedgerView{}; }
 
-  static constexpr std::uint32_t kCkptVersion = 2;
+  static constexpr std::uint32_t kCkptVersion = 3;
   void saveState(ckpt::StateWriter& w) const { w.b(false); }
   void loadState(ckpt::StateReader& r) {
     if (r.b()) {
       // Section written by an OBS=ON build: skip its accumulators.
-      const std::size_t n = bus::kSignalCount + kTxClassCount +
-                            kSlaveSlots + kMasterSlots + 2;
-      for (std::size_t i = 0; i < n; ++i) (void)r.f64();
+      const std::size_t n =
+          bus::kSignalCount + kTxClassCount + kSlaveSlots + kMasterSlots;
+      for (std::size_t i = 0; i < n; ++i) (void)r.i64();
     }
   }
 };

@@ -24,9 +24,9 @@
 // table, adapts it to the Tl1Observer and CycleAccuratePowerIf
 // interfaces, and advertises the engine through fusedFrameEnergy() so
 // Tl1Bus can drive it non-virtually on the hot path. Both drive paths
-// run the same engine code in the same order, so results are
-// bit-identical either way (the observer path stays live for any
-// publisher that does not know about fusing).
+// run the same engine code, so results are bit-identical either way
+// (the observer path stays live for any publisher that does not know
+// about fusing).
 #ifndef SCT_POWER_TL1_POWER_MODEL_H
 #define SCT_POWER_TL1_POWER_MODEL_H
 
@@ -66,8 +66,8 @@ class Tl1PowerModel final : public bus::Tl1Observer,
   void busCycleEnd(std::uint64_t cycle) override { engine_.busCycleEnd(cycle); }
 
   /// Hand the bus the engine for direct (non-virtual, inlinable)
-  /// dispatch. Event order and arithmetic are identical to the observer
-  /// path above.
+  /// dispatch. Events and arithmetic are identical to the observer path
+  /// above.
   bus::Tl1FrameEnergy* fusedFrameEnergy() override { return &engine_; }
 
   // CycleAccuratePowerIf
@@ -90,8 +90,7 @@ class Tl1PowerModel final : public bus::Tl1Observer,
   const bus::SignalFrame& frame() const { return engine_.frame(); }
 
   /// Attach an energy-attribution ledger. Every coefficient term of the
-  /// busCycleEnd walk is forwarded in accumulation order and committed
-  /// once per cycle, so ledger.total_fJ() stays bit-identical to
+  /// busCycleEnd walk is forwarded, so ledger.total_fJ() equals
   /// totalEnergy_fJ(). `master` tags all contributions (the EC bus is
   /// single-master). Detached: one null-check per phase callback.
   void attachLedger(obs::EnergyLedger& ledger, int master = 0) {
@@ -100,7 +99,7 @@ class Tl1PowerModel final : public bus::Tl1Observer,
 
   /// Force the scalar dirty-walk even on busy cycles (test hook: the
   /// equivalence suite runs packed and scalar models side by side and
-  /// requires bit-identical energy from both).
+  /// requires identical energy from both).
   void setPackedCounting(bool on) { engine_.setPackedCounting(on); }
 
   /// Cycles whose transition count went through the packed-lane wide
@@ -119,12 +118,13 @@ class Tl1PowerModel final : public bus::Tl1Observer,
 
   /// -- Checkpoint (see ckpt/checkpoint.h): the full signal state —
   /// frame, pre-cycle values, strobe masks, transition counts and the
-  /// femtojoule accumulators (bit-exact doubles), so a restored model
-  /// continues the exact FP accumulation sequence of the saved run.
-  /// The byte layout is owned here and implemented by the engine.
-  /// Version 2: the EB_Inv codec sideband joined the signal inventory,
-  /// growing every per-signal array in the section by one slot.
-  static constexpr std::uint32_t kCkptVersion = 2;
+  /// energy accumulators, so a restored model continues exactly where
+  /// the saved run stopped. The byte layout is owned here and
+  /// implemented by the engine. Version 2: the EB_Inv codec sideband
+  /// joined the signal inventory, growing every per-signal array in the
+  /// section by one slot. Version 3: the energy accumulators are
+  /// integer bus::Energy quanta.
+  static constexpr std::uint32_t kCkptVersion = 3;
 
   void saveState(ckpt::StateWriter& w) const { engine_.saveState(w); }
   void loadState(ckpt::StateReader& r) { engine_.loadState(r); }

@@ -27,20 +27,15 @@ std::uint32_t beatWord(const bus::Tl2PhaseInfo& info, unsigned beat) {
   return w;
 }
 
-double popcount64(std::uint64_t v) {
-  return static_cast<double>(std::popcount(v));
-}
-
 } // namespace
 
-void Tl2PowerModel::addTransitions(SignalId id, double n) {
-  if (n <= 0.0) return;
-  estTransitions_[static_cast<std::size_t>(id)] += n;
-  const double e = table_.energyFor(id, n);
-  total_fJ_ += e;
+void Tl2PowerModel::addTransitions(SignalId id, std::uint64_t n) {
+  if (n == 0) return;
+  const auto i = static_cast<std::size_t>(id);
+  estTransitions_[i] += n;
+  const bus::Energy e = table_.coeffs()[i] * n;
+  total_ += e;
   if constexpr (obs::kEnabled) {
-    // Identical term, identical order: the ledger total accumulates in
-    // lock-step with total_fJ_ and stays bit-identical to it.
     if (ledger_ != nullptr) ledger_->add(id, ctxClass_, ctxSlave_, master_, e);
   }
 }
@@ -59,31 +54,29 @@ void Tl2PowerModel::addressPhaseDone(const bus::Tl2PhaseInfo& info) {
   // are therefore over-counted; this is the paper's "does not consider
   // interactions between following transactions".
   addTransitions(SignalId::EB_A,
-                 popcount64(info.address & bus::signalMask(SignalId::EB_A)));
+                 std::popcount(info.address & bus::signalMask(SignalId::EB_A)));
   if (info.kind == bus::Kind::InstrFetch) {
-    addTransitions(SignalId::EB_Instr, 1.0);
+    addTransitions(SignalId::EB_Instr, 1);
   }
-  if (info.kind == bus::Kind::Write) {
-    addTransitions(SignalId::EB_Write, 1.0);
-  }
-  if (info.beats > 1) addTransitions(SignalId::EB_Burst, 1.0);
-  addTransitions(SignalId::EB_BE, popcount64(byteEnablesOf(info)));
+  if (info.kind == bus::Kind::Write) addTransitions(SignalId::EB_Write, 1);
+  if (info.beats > 1) addTransitions(SignalId::EB_Burst, 1);
+  addTransitions(SignalId::EB_BE, std::popcount(byteEnablesOf(info)));
 
   // Handshake strobes: one full pulse per phase — the model cannot see
   // that back-to-back phases hold these lines ("does not allow an
   // accurate count of transitions for control signals").
-  addTransitions(SignalId::EB_AValid, 2.0);
-  addTransitions(SignalId::EB_ARdy, info.error ? 0.0 : 2.0);
+  addTransitions(SignalId::EB_AValid, 2);
+  addTransitions(SignalId::EB_ARdy, info.error ? 0 : 2);
 
   // Select lines: one pulse per transaction; whether consecutive
   // transactions hit the same line is invisible at this layer.
-  addTransitions(SignalId::EB_Sel, info.error ? 0.0 : 2.0);
+  addTransitions(SignalId::EB_Sel, info.error ? 0 : 2);
 
   if (info.error) {
     addTransitions(info.kind == bus::Kind::Write ? SignalId::EB_WBErr
                                                  : SignalId::EB_RBErr,
-                   2.0);
-    addTransitions(SignalId::EB_Last, 2.0);
+                   2);
+    addTransitions(SignalId::EB_Last, 2);
   }
 }
 
@@ -102,8 +95,8 @@ void Tl2PowerModel::dataPhaseDone(const bus::Tl2PhaseInfo& info) {
   if (info.error) {
     addTransitions(info.kind == bus::Kind::Write ? SignalId::EB_WBErr
                                                  : SignalId::EB_RBErr,
-                   2.0);
-    addTransitions(SignalId::EB_Last, 2.0);
+                   2);
+    addTransitions(SignalId::EB_Last, 2);
     return;
   }
 
@@ -113,7 +106,7 @@ void Tl2PowerModel::dataPhaseDone(const bus::Tl2PhaseInfo& info) {
   // strongly word-to-word correlated (small Hamming steps at layer
   // 0/1), so this is the data-bus share of the systematic layer-2
   // over-estimation.
-  double dataTransitions = 0.0;
+  std::uint64_t dataTransitions = 0;
   for (unsigned b = 0; b < info.beats; ++b) {
     dataTransitions += std::popcount(beatWord(info, b));
   }
@@ -122,14 +115,14 @@ void Tl2PowerModel::dataPhaseDone(const bus::Tl2PhaseInfo& info) {
   // One strobe pulse per beat (layer 0/1 hold the line through a
   // streaming burst — systematic over-count), one EB_Last pulse per
   // transaction.
-  addTransitions(strobe, 2.0 * info.beats);
-  addTransitions(SignalId::EB_Last, 2.0);
+  addTransitions(strobe, 2 * std::uint64_t{info.beats});
+  addTransitions(SignalId::EB_Last, 2);
 }
 
 double Tl2PowerModel::energySinceLastCall_fJ() {
-  const double delta = total_fJ_ - intervalMarker_fJ_;
-  intervalMarker_fJ_ = total_fJ_;
-  return delta;
+  const bus::Energy delta = total_ - intervalMarker_;
+  intervalMarker_ = total_;
+  return delta.fJ();
 }
 
 } // namespace sct::power

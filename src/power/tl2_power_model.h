@@ -55,49 +55,49 @@ class Tl2PowerModel final : public bus::Tl2Observer, public IntervalPowerIf {
   // interval method; Figure 6 shows the resulting phase-granular
   // sampling skew.
   double energySinceLastCall_fJ() override;
-  double totalEnergy_fJ() const override { return total_fJ_; }
+  double totalEnergy_fJ() const override { return total_.fJ(); }
 
   /// Estimated transition counts per bundle (diagnostics).
-  double estimatedTransitions(bus::SignalId id) const {
+  std::uint64_t estimatedTransitions(bus::SignalId id) const {
     return estTransitions_[static_cast<std::size_t>(id)];
   }
 
   /// Attach an energy-attribution ledger. Every per-phase energy term is
-  /// forwarded in accumulation order, so ledger.total_fJ() stays
-  /// bit-identical to totalEnergy_fJ(). `master` tags all contributions.
+  /// forwarded, so ledger.total_fJ() equals totalEnergy_fJ(). `master`
+  /// tags all contributions.
   void attachLedger(obs::EnergyLedger& ledger, int master = 0) {
     ledger_ = &ledger;
     master_ = master;
   }
 
   /// -- Checkpoint (see ckpt/checkpoint.h): estimated transition
-  /// counters, bit-exact energy accumulators and the attribution
-  /// context of the last phase.
-  static constexpr std::uint32_t kCkptVersion = 1;
+  /// counters, energy accumulators and the attribution context of the
+  /// last phase. Version 2: integer counters and accumulators.
+  static constexpr std::uint32_t kCkptVersion = 2;
 
   void saveState(ckpt::StateWriter& w) const {
-    for (const double v : estTransitions_) w.f64(v);
-    w.f64(total_fJ_);
-    w.f64(intervalMarker_fJ_);
+    for (const std::uint64_t v : estTransitions_) w.u64(v);
+    w.i64(total_.quanta);
+    w.i64(intervalMarker_.quanta);
     w.u8(static_cast<std::uint8_t>(ctxClass_));
     w.i64(ctxSlave_);
   }
 
   void loadState(ckpt::StateReader& r) {
-    for (double& v : estTransitions_) v = r.f64();
-    total_fJ_ = r.f64();
-    intervalMarker_fJ_ = r.f64();
+    for (std::uint64_t& v : estTransitions_) v = r.u64();
+    total_.quanta = r.i64();
+    intervalMarker_.quanta = r.i64();
     ctxClass_ = static_cast<obs::TxClass>(r.u8());
     ctxSlave_ = static_cast<int>(r.i64());
   }
 
  private:
-  void addTransitions(bus::SignalId id, double n);
+  void addTransitions(bus::SignalId id, std::uint64_t n);
 
   SignalEnergyTable table_;
-  std::array<double, bus::kSignalCount> estTransitions_{};
-  double total_fJ_ = 0.0;
-  double intervalMarker_fJ_ = 0.0;
+  std::array<std::uint64_t, bus::kSignalCount> estTransitions_{};
+  bus::Energy total_;
+  bus::Energy intervalMarker_;
 
   // Energy attribution (null = detached). The phase context is stamped
   // at the top of each observer callback before the addTransitions

@@ -11,11 +11,11 @@
 // instance restores that snapshot before each session (recycle). The
 // snapshot deliberately carries TWO sections beyond the SoC's own
 // fourteen: the Tl1 power model ("pm") and the energy ledger
-// ("ledger"). Restoring them rewinds every floating-point accumulator
-// to the identical boot-end bit pattern, so a session's energy delta
-// is a subtraction of identical operands no matter which worker ran it
-// or how many sessions the instance served before — the foundation of
-// the threads=1 vs threads=N bit-identity contract.
+// ("ledger"). Restoring them rewinds the signal frame and every energy
+// accumulator to the identical boot-end state, so a session's energy
+// delta is the same exact integer no matter which worker ran it or how
+// many sessions the instance served before — the foundation of the
+// threads=1 vs threads=N bit-identity contract.
 //
 // Thread model: a CardInstance is single-threaded (one per pool
 // worker). The golden Snapshot is shared across workers by const

@@ -131,30 +131,30 @@ std::string ServeEngine::resultLine(const Job& job,
   s += "],\"cycles\":" + std::to_string(o.cycles);
   s += ",\"instructions\":" + std::to_string(o.instructions);
   s += ",\"energy_fJ\":";
-  appendJsonNumber(s, o.energy.total);
+  appendJsonNumber(s, o.energy.total().fJ());
   s += ",\"by_class\":{";
   for (std::size_t i = 0; i < obs::kTxClassCount; ++i) {
     if (i != 0) s += ',';
     appendJsonString(s, obs::txClassName(static_cast<obs::TxClass>(i)));
     s += ':';
-    appendJsonNumber(s, o.energy.byClass[i]);
+    appendJsonNumber(s, o.energy.byClass[i].fJ());
   }
   s += "},\"by_bundle\":{";
   for (std::size_t i = 0; i < bus::kSignalCount; ++i) {
     if (i != 0) s += ',';
     appendJsonString(s, bus::signalName(static_cast<bus::SignalId>(i)));
     s += ':';
-    appendJsonNumber(s, o.energy.byBundle[i]);
+    appendJsonNumber(s, o.energy.byBundle[i].fJ());
   }
   s += "},\"by_slave\":[";
   for (std::size_t i = 0; i < o.energy.bySlave.size(); ++i) {
     if (i != 0) s += ',';
-    appendJsonNumber(s, o.energy.bySlave[i]);
+    appendJsonNumber(s, o.energy.bySlave[i].fJ());
   }
   s += "],\"by_master\":[";
   for (std::size_t i = 0; i < o.energy.byMaster.size(); ++i) {
     if (i != 0) s += ',';
-    appendJsonNumber(s, o.energy.byMaster[i]);
+    appendJsonNumber(s, o.energy.byMaster[i].fJ());
   }
   s += ']';
   if (!o.error.empty()) {

@@ -1,13 +1,12 @@
 // The optimized layer-1 energy hot path against a naive reference.
 //
 // Tl1PowerModel::busCycleEnd was restructured for speed: early-out on
-// unchanged frames, XOR + popcount Hamming distances, and direct
-// indexing of the flat coefficient array instead of an energyFor() call
-// per signal. None of that may change the numbers: this test replays
-// random-mix workloads with the production model and an independently
-// written naive observer (per-signal energyFor, no early-out) attached
-// to the same bus, and requires bit-identical accumulated energy and
-// transition counts.
+// unchanged frames, XOR + popcount Hamming distances, and the packed-
+// lane pass on busy cycles. None of that may change the numbers: this
+// test replays random-mix workloads with the production model and an
+// independently written naive observer (every signal priced every
+// cycle, no early-out) attached to the same bus, and requires
+// bit-identical accumulated energy and transition counts.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -27,7 +26,7 @@ using testbench::Tl1Bench;
 /// Straight-line reimplementation of the layer-1 TL-to-RTL adapter the
 /// way the original (pre-fast-path) code computed it: reconstruct the
 /// signal frame from the bus phases, then walk every signal, take
-/// hammingDistance and price it with energyFor — unconditionally.
+/// hammingDistance and price it — unconditionally.
 struct NaiveTl1Energy final : bus::Tl1Observer {
   explicit NaiveTl1Energy(const power::SignalEnergyTable& table)
       : table(table) {}
@@ -78,14 +77,12 @@ struct NaiveTl1Energy final : bus::Tl1Observer {
   }
 
   void busCycleEnd(std::uint64_t) override {
-    double e = 0.0;
     for (std::size_t i = 0; i < bus::kSignalCount; ++i) {
       const SignalId id = static_cast<SignalId>(i);
       const unsigned n = bus::hammingDistance(id, prev.get(id), next.get(id));
       transitions[i] += n;
-      e += table.energyFor(id, static_cast<double>(n));
+      total += table.coeffs()[i] * n;
     }
-    total_fJ += e;
     prev = next;
   }
 
@@ -93,7 +90,7 @@ struct NaiveTl1Energy final : bus::Tl1Observer {
   bus::SignalFrame prev;
   bus::SignalFrame next;
   std::array<std::uint64_t, bus::kSignalCount> transitions{};
-  double total_fJ = 0.0;
+  bus::Energy total;
 };
 
 power::SignalEnergyTable distinctTable() {
@@ -128,9 +125,9 @@ TEST_P(PowerEquivalenceSeedTest, FastPathEnergyBitIdenticalToNaive) {
   bench.bus.addObserver(naive);
   bench.run(workload);
 
-  // Bit-identical, not approximately equal: the fast path must perform
-  // the same additions in the same order.
-  EXPECT_EQ(fast.totalEnergy_fJ(), naive.total_fJ) << "seed " << GetParam();
+  // Bit-identical, not approximately equal: the fast path must price
+  // the same terms.
+  EXPECT_EQ(fast.totalEnergy_fJ(), naive.total.fJ()) << "seed " << GetParam();
   EXPECT_GT(fast.totalEnergy_fJ(), 0.0);
   // The packed-lane counting (wide XOR over the whole frame on busy
   // cycles) and the per-bundle scalar walk must agree term for term.
@@ -158,7 +155,7 @@ INSTANTIATE_TEST_SUITE_P(RandomMixes, PowerEquivalenceSeedTest,
 // bundles (EB_Instr/EB_Write/EB_Burst/EB_BE) on top of the
 // address/data traffic, so busy cycles dirty enough of the frame to
 // cross kPackedLaneThreshold — and the wide pass must still price
-// exactly the scalar walk's term sequence. (A single-kind workload
+// exactly the scalar walk's terms. (A single-kind workload
 // does not qualify: its control bundles hold steady and busy cycles
 // stay under the threshold, which is why the per-seed test above
 // makes no packed-coverage claim.)
@@ -182,7 +179,7 @@ TEST(PowerEquivalenceTest, PackedPathExercised) {
 
   EXPECT_GT(fast.packedLaneCycles(), 0u);
   EXPECT_EQ(scalar.packedLaneCycles(), 0u);
-  EXPECT_EQ(fast.totalEnergy_fJ(), naive.total_fJ);
+  EXPECT_EQ(fast.totalEnergy_fJ(), naive.total.fJ());
   EXPECT_EQ(fast.totalEnergy_fJ(), scalar.totalEnergy_fJ());
   for (std::size_t i = 0; i < bus::kSignalCount; ++i) {
     EXPECT_EQ(fast.transitions(static_cast<SignalId>(i)),

@@ -5,8 +5,8 @@
 // cycle-resolved power profile. Outside the ROIs the hybrid run does
 // unrelated event-driven background traffic through the TL2 layer,
 // which must not perturb any of the above: the suspended TL1 power
-// model sees no callbacks, so its FP addition sequence is exactly the
-// pure run's.
+// model sees no callbacks, so the terms it prices are exactly the pure
+// run's.
 //
 // Construction: N random-mix ROI segments over the fast region
 // (back-to-back issue), each bracketed by enterRoi()/exitRoi() with two

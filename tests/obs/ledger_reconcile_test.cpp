@@ -1,21 +1,27 @@
 // Energy-attribution ledger reconciliation (the obs subsystem's core
 // correctness contract): for both power models, on every workload of
-// the equivalence suite plus dense random mixes, the ledger total must
-// be BIT-IDENTICAL to the model's own accumulator — same bits, not
-// "close" — and to the sum the interval interface hands out. The
-// dimensional splits (by transaction class, by slave, by bundle) must
-// each re-sum to the total up to floating-point reassociation.
+// the equivalence suite plus dense random mixes, and for one hybrid run
+// feeding both layers into one ledger, the ledger total must be
+// BIT-IDENTICAL to the model's own accumulator — same bits, not
+// "close" — and to the sum the interval interface hands out. Every
+// dimensional split (by bundle, by transaction class, by slave, by
+// master) must sum to that total exactly, in integer quanta.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 
 #include "../testbench.h"
 #include "bus/ec_signals.h"
+#include "bus/energy.h"
+#include "hier/fidelity_controller.h"
+#include "hier/hybrid_bus.h"
 #include "obs/ledger.h"
 #include "power/characterizer.h"
 #include "power/tl1_power_model.h"
 #include "power/tl2_power_model.h"
+#include "trace/replay_master.h"
 #include "trace/workloads.h"
 
 namespace sct {
@@ -47,37 +53,37 @@ void expectSameBits(double a, double b, const std::string& what) {
   EXPECT_EQ(bitsOf(a), bitsOf(b)) << what << ": " << a << " vs " << b;
 }
 
-double sumByClass(const obs::EnergyLedger& ledger) {
-  double s = 0.0;
-  for (std::size_t c = 0; c < obs::kTxClassCount; ++c) {
-    s += ledger.byClass_fJ(static_cast<obs::TxClass>(c));
-  }
+/// A model total back in integer quanta. Lossless: the models convert
+/// an exact integer to double, which is exact below 2^53 quanta.
+std::int64_t quantaOf(double fJ) { return bus::Energy::fromFj(fJ).quanta; }
+
+template <std::size_t N>
+std::int64_t sum(const std::array<bus::Energy, N>& split) {
+  std::int64_t s = 0;
+  for (const bus::Energy e : split) s += e.quanta;
   return s;
 }
 
-double sumBySlave(const obs::EnergyLedger& ledger) {
-  double s = 0.0;
-  for (int slave = -1;
-       slave < static_cast<int>(obs::EnergyLedger::kSlaveSlots) - 1; ++slave) {
-    s += ledger.bySlave_fJ(slave);
-  }
-  return s;
+/// Every dimension of the ledger sums to the model total exactly, in
+/// integer quanta — no tolerance, whatever order the terms arrived in.
+void expectExactSplits(const obs::EnergyLedger& ledger,
+                       std::int64_t modelTotal, const std::string& what) {
+  const obs::LedgerView& v = ledger.view();
+  EXPECT_EQ(sum(v.byBundle), modelTotal) << what << " (by bundle)";
+  EXPECT_EQ(sum(v.byClass), modelTotal) << what << " (by class)";
+  EXPECT_EQ(sum(v.bySlave), modelTotal) << what << " (by slave)";
+  EXPECT_EQ(sum(v.byMaster), modelTotal) << what << " (by master)";
+  EXPECT_EQ(v.total().quanta, modelTotal) << what << " (total)";
+  EXPECT_EQ(quantaOf(ledger.total_fJ()), modelTotal) << what << " (total_fJ)";
 }
 
-double sumByBundle(const obs::EnergyLedger& ledger) {
-  double s = 0.0;
-  for (std::size_t i = 0; i < bus::kSignalCount; ++i) {
-    s += ledger.byBundle_fJ(static_cast<bus::SignalId>(i));
-  }
-  return s;
-}
-
-void expectSplitsResum(const obs::EnergyLedger& ledger) {
-  const double total = ledger.total_fJ();
-  const double tol = 1e-9 * (total == 0.0 ? 1.0 : total);
-  EXPECT_NEAR(sumByClass(ledger), total, tol);
-  EXPECT_NEAR(sumBySlave(ledger), total, tol);
-  EXPECT_NEAR(sumByBundle(ledger), total, tol);
+template <typename Model>
+void expectReconciled(const obs::EnergyLedger& ledger, Model& pm,
+                      const std::string& what) {
+  expectSameBits(ledger.total_fJ(), pm.totalEnergy_fJ(), what + " (total)");
+  expectSameBits(ledger.total_fJ(), pm.energySinceLastCall_fJ(),
+                 what + " (interval)");
+  expectExactSplits(ledger, quantaOf(pm.totalEnergy_fJ()), what);
 }
 
 void checkTl1(const trace::BusTrace& t, const std::string& what) {
@@ -87,10 +93,7 @@ void checkTl1(const trace::BusTrace& t, const std::string& what) {
   obs::EnergyLedger ledger;
   pm.attachLedger(ledger);
   tb.run(t);
-  expectSameBits(ledger.total_fJ(), pm.totalEnergy_fJ(), what + " (total)");
-  expectSameBits(ledger.total_fJ(), pm.energySinceLastCall_fJ(),
-                 what + " (interval)");
-  expectSplitsResum(ledger);
+  expectReconciled(ledger, pm, what);
 }
 
 void checkTl2(const trace::BusTrace& t, const std::string& what) {
@@ -100,10 +103,7 @@ void checkTl2(const trace::BusTrace& t, const std::string& what) {
   obs::EnergyLedger ledger;
   pm.attachLedger(ledger);
   tb.run(t);
-  expectSameBits(ledger.total_fJ(), pm.totalEnergy_fJ(), what + " (total)");
-  expectSameBits(ledger.total_fJ(), pm.energySinceLastCall_fJ(),
-                 what + " (interval)");
-  expectSplitsResum(ledger);
+  expectReconciled(ledger, pm, what);
 }
 
 TEST(LedgerReconcileTest, Tl1VerificationSuite) {
@@ -150,16 +150,62 @@ TEST(LedgerReconcileTest, Tl1AttributesClassesAndSlaves) {
   EXPECT_GT(ledger.byClass_fJ(obs::TxClass::Write), 0.0);
   EXPECT_GT(ledger.bySlave_fJ(0), 0.0);
   EXPECT_GT(ledger.bySlave_fJ(1), 0.0);
-  // Dimensional accumulators associate per-contribution, the total per
-  // cycle — a single master matches the total up to reassociation only.
-  EXPECT_NEAR(ledger.byMaster_fJ(1), ledger.total_fJ(),
-              1e-9 * ledger.total_fJ());
+  // A single master carries the whole total.
+  EXPECT_EQ(ledger.byMaster_fJ(1), ledger.total_fJ());
   EXPECT_EQ(ledger.byMaster_fJ(0), 0.0);
+}
+
+TEST(LedgerReconcileTest, HybridRunSumsBothLayersExactly) {
+  // One ledger attached to both layers of a hybrid bus: ROI windows at
+  // layer 1, the traffic between them at layer 2. Every term of either
+  // model lands in the ledger, so each dimension sums exactly to the
+  // two model totals added together.
+  sim::Kernel kernel;
+  sim::Clock clk{kernel, "clk", 10};
+  hier::HybridBus hb{clk, "ecbus"};
+  bus::MemorySlave fast{"ram", testbench::fastCtl()};
+  bus::MemorySlave waited{"eeprom", testbench::waitedCtl()};
+  hb.attach(fast);
+  hb.attach(waited);
+  power::Tl1PowerModel pm1(characterizedTable());
+  power::Tl2PowerModel pm2(characterizedTable());
+  obs::EnergyLedger ledger;
+  pm1.attachLedger(ledger);
+  pm2.attachLedger(ledger);
+  hb.tl1().addObserver(pm1);
+  hb.tl2().addObserver(pm2);
+  hier::FidelityController ctrl(clk, hb);
+  ctrl.attachPower(pm1, pm2);
+
+  const trace::MixRatios mix{2, 2, 1, 1, 1};
+  for (std::uint64_t s = 0; s < 3; ++s) {
+    {
+      hier::RoiScope roi(ctrl);
+      const auto t = trace::randomMix(11 + s, 80, testbench::bothRegions(),
+                                      mix, 3);
+      trace::ReplayMaster m(clk, "roi", hb, hb, t);
+      m.runToCompletion();
+      clk.runCycles(2);  // Settle: trailing strobe deassertion.
+    }
+    const auto t =
+        trace::randomMix(50 + s, 80, testbench::bothRegions(), mix, 3);
+    trace::ReplayMaster bg(clk, "bg", hb, hb, t);
+    bg.runToCompletion();
+  }
+  ctrl.finalize();
+
+  ASSERT_GT(pm1.totalEnergy_fJ(), 0.0);
+  ASSERT_GT(pm2.totalEnergy_fJ(), 0.0);
+  expectExactSplits(ledger,
+                    quantaOf(pm1.totalEnergy_fJ()) +
+                        quantaOf(pm2.totalEnergy_fJ()),
+                    "hybrid");
 }
 
 TEST(LedgerReconcileTest, ResetClearsEverything) {
   obs::EnergyLedger ledger;
-  ledger.add(bus::SignalId::EB_A, obs::TxClass::Write, 0, 0, 2.0);
+  ledger.add(bus::SignalId::EB_A, obs::TxClass::Write, 0, 0,
+             bus::Energy::fromFj(2.0));
   ledger.reset();
   EXPECT_EQ(ledger.total_fJ(), 0.0);
   EXPECT_EQ(ledger.byClass_fJ(obs::TxClass::Write), 0.0);

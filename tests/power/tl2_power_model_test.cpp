@@ -33,8 +33,8 @@ TEST(Tl2PowerModelTest, AccumulatesEnergyPerPhase) {
   tb.bus.addObserver(pm);
   tb.run(trace::randomMix(5, 50, testbench::bothRegions()));
   EXPECT_GT(pm.totalEnergy_fJ(), 0.0);
-  EXPECT_GT(pm.estimatedTransitions(SignalId::EB_A), 0.0);
-  EXPECT_GT(pm.estimatedTransitions(SignalId::EB_AValid), 0.0);
+  EXPECT_GT(pm.estimatedTransitions(SignalId::EB_A), 0u);
+  EXPECT_GT(pm.estimatedTransitions(SignalId::EB_AValid), 0u);
 }
 
 TEST(Tl2PowerModelTest, IntervalInterfaceOnly) {
@@ -67,7 +67,7 @@ TEST(Tl2PowerModelTest, OverestimatesControlStrobesOnStreamingBursts) {
   tl1.bus.addObserver(pm1);
   tl1.run(t);
 
-  EXPECT_DOUBLE_EQ(pm2.estimatedTransitions(SignalId::EB_RdVal), 8.0);
+  EXPECT_EQ(pm2.estimatedTransitions(SignalId::EB_RdVal), 8u);
   EXPECT_EQ(pm1.transitions(SignalId::EB_RdVal), 2u);
 }
 
@@ -120,7 +120,7 @@ TEST(Tl2PowerModelTest, ErrorTransactionChargesErrorLines) {
   e.address = 0x30000;  // Unmapped.
   t.append(e);
   tb.run(t);
-  EXPECT_DOUBLE_EQ(pm.estimatedTransitions(SignalId::EB_RBErr), 2.0);
+  EXPECT_EQ(pm.estimatedTransitions(SignalId::EB_RBErr), 2u);
 }
 
 TEST(Tl2PowerModelTest, WriteDataChargedPerBeatAgainstIdleBus) {
@@ -136,7 +136,7 @@ TEST(Tl2PowerModelTest, WriteDataChargedPerBeatAgainstIdleBus) {
   t.append(e);
   tb.run(t);
   // Per-beat popcounts: 4 + 8 + 8 + 0 — no inter-beat correlation.
-  EXPECT_DOUBLE_EQ(pm.estimatedTransitions(SignalId::EB_WData), 20.0);
+  EXPECT_EQ(pm.estimatedTransitions(SignalId::EB_WData), 20u);
 }
 
 TEST(Tl2PowerModelTest, PhasesAreChargedWithoutCrossTransactionState) {
@@ -153,10 +153,10 @@ TEST(Tl2PowerModelTest, PhasesAreChargedWithoutCrossTransactionState) {
   tb.run(t);
   // Layer 0/1 would see the address bus toggle only once; the
   // phase-on-its-own model charges popcount(0x8010) = 2 per phase.
-  EXPECT_DOUBLE_EQ(pm.estimatedTransitions(SignalId::EB_A), 6.0);
+  EXPECT_EQ(pm.estimatedTransitions(SignalId::EB_A), 6u);
   // One write qualifier never driven, byte enables 0xF each phase.
-  EXPECT_DOUBLE_EQ(pm.estimatedTransitions(SignalId::EB_Write), 0.0);
-  EXPECT_DOUBLE_EQ(pm.estimatedTransitions(SignalId::EB_BE), 12.0);
+  EXPECT_EQ(pm.estimatedTransitions(SignalId::EB_Write), 0u);
+  EXPECT_EQ(pm.estimatedTransitions(SignalId::EB_BE), 12u);
 }
 
 } // namespace

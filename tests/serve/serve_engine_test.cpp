@@ -4,7 +4,7 @@
 //  * the golden boot snapshot carries the power model and ledger
 //    sections on top of the platform's own,
 //  * recycling an instance from the golden snapshot makes repeated
-//    sessions BIT-IDENTICAL (energy doubles compared exactly),
+//    sessions BIT-IDENTICAL (energies compared exactly),
 //  * the engine serves a job set at threads=1 and threads=8 with
 //    identical per-session result lines (the serve determinism
 //    headline), and
@@ -90,13 +90,13 @@ TEST(ServeCard, RecycledSessionsAreBitIdentical) {
   ASSERT_TRUE(first.ok);
   EXPECT_TRUE(first.expected);
   if (obs::kEnabled) {
-    EXPECT_GT(first.energy.total, 0.0);
+    EXPECT_GT(first.energy.total().quanta, 0);
   }
 
   // Serve more sessions on the SAME instance — a different scenario in
   // between to dirty the state — recycling before each. The repeat of
-  // the first session must match bit for bit (exact double equality
-  // via LedgerView::operator==).
+  // the first session must match bit for bit (exact equality via
+  // LedgerView::operator==).
   card.recycle(golden);
   const serve::SessionOutcome other =
       card.runSession(serve::buildScenario("mixed", 99));
@@ -160,7 +160,7 @@ std::map<std::string, std::string> serveAll(unsigned workers) {
 TEST(ServeEngine, ThreadCountDoesNotChangeAnyResultLine) {
   // The acceptance headline: same job set, threads=1 vs threads=8,
   // per-session result lines identical as STRINGS — which, with
-  // %.17g emission, means the energy doubles are bit-identical.
+  // %.17g emission, means the energies are bit-identical.
   const std::map<std::string, std::string> sequential = serveAll(1);
   const std::map<std::string, std::string> threaded = serveAll(8);
   ASSERT_EQ(sequential.size(), 12u);
@@ -191,8 +191,7 @@ TEST(ServeEngine, ResultLinesAreValidJsonWithAttribution) {
   EXPECT_EQ(v.find("by_bundle")->asObject().size(), bus::kSignalCount);
   EXPECT_EQ(v.find("by_slave")->asArray().size(), obs::kLedgerSlaveSlots);
   EXPECT_EQ(v.find("by_master")->asArray().size(), obs::kLedgerMasterSlots);
-  // The dimensional splits cross-sum to the total (same accumulation
-  // order per dimension, so plain summation reproduces it here).
+  // The dimensional splits cross-sum to the total.
   double classSum = 0.0;
   for (const auto& [name, val] : v.find("by_class")->asObject()) {
     classSum += val.asNumber();
