@@ -1,5 +1,6 @@
 #include "power/coeff_table.h"
 
+#include <cmath>
 #include <iomanip>
 #include <istream>
 #include <limits>
@@ -28,6 +29,13 @@ SignalEnergyTable SignalEnergyTable::load(std::istream& is) {
     double value = 0.0;
     if (!(ls >> name >> value)) {
       throw std::runtime_error("SignalEnergyTable: malformed line: " + line);
+    }
+    // Quantized coefficients are multiplied by transition counts and
+    // summed in int64; a magnitude past 1e9 fJ (1 uJ per transition) is
+    // no characterized bus and could overflow those sums.
+    if (std::fabs(value) > 1e9) {
+      throw std::runtime_error("SignalEnergyTable: coefficient out of range: " +
+                               line);
     }
     bool found = false;
     for (const auto& info : bus::kSignalTable) {
