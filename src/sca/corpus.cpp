@@ -106,8 +106,7 @@ TraceCorpusWriter::TraceCorpusWriter(const std::string& path,
     : path_(path), header_(header) {
   out_.open(path, std::ios::binary | std::ios::trunc);
   if (!out_) throw CorpusError("cannot open corpus for writing: " + path);
-  std::vector<std::uint8_t> h;
-  h.insert(h.end(), kMagic, kMagic + 8);
+  std::vector<std::uint8_t> h(kMagic, kMagic + 8);
   putU32(h, kCorpusFormatVersion);
   putU32(h, header_.samplesPerTrace);
   putU32(h, header_.quantDenom);
