@@ -12,9 +12,12 @@
 #   sca     side-channel traces generated or analyzed /s (sca_bench)
 #   enc     codec x workload variants/s (enc_sweep_bench)
 # The script appends each bench's headline ratios (a `speedup` object,
-# or `summary` for sca; see the table below) and a `host_context`.
-# Thread/worker scaling ratios only exceed ~1.0 when the host has free
-# cores: read them against the recorded core count.
+# or `summary` for sca; see the table below), a `spread` object with the
+# median, min and max per-repetition items_per_second of every
+# benchmark those ratios read (so a ratio can be judged against the
+# run-to-run noise of its inputs), and a `host_context`. Thread/worker
+# scaling ratios only exceed ~1.0 when the host has free cores: read
+# them against the recorded core count.
 #
 # Extra benchmark flags pass through via SCT_BENCH_ARGS, e.g.
 #   SCT_BENCH_ARGS=--benchmark_repetitions=5 scripts/bench.sh table3
@@ -31,10 +34,25 @@ out=${3:-"$repo_root/BENCH_$name.json"}
 # Per-name binary and the jq object appended to its JSON. rate(n) is the
 # median items_per_second of benchmark n over its repetition entries
 # (aggregates excluded); counter(n; c) is user counter c of its first
-# entry; fork_sweep(p) holds the ratios the eh and enc sweeps share.
-# host_cpus is the host_context core-count field: table3 has
-# always relied on google-benchmark's own context.num_cpus instead.
+# entry. Benchmark names appear as rate("...") literals, which is how
+# the spread object finds them. host_cpus is the host_context
+# core-count field: table3 has always relied on google-benchmark's own
+# context.num_cpus instead.
 host_cpus='num_cpus: $num_cpus,'
+
+# The ratios the eh and enc sweeps share, for benchmark prefix $1.
+fork_sweep() {
+  printf '{speedup: {
+      fork_sweep_over_boot_sweep:
+        (rate("%s_ForkSweep/threads:1/real_time") / rate("%s_BootSweep")),
+      fork_threads_2_over_1:
+        (rate("%s_ForkSweep/threads:2/real_time")
+         / rate("%s_ForkSweep/threads:1/real_time")),
+      fork_threads_4_over_1:
+        (rate("%s_ForkSweep/threads:4/real_time")
+         / rate("%s_ForkSweep/threads:1/real_time"))
+    }}' "$1" "$1" "$1" "$1" "$1" "$1"
+}
 case $name in
   table3)
     binary=table3_simperf
@@ -51,7 +69,7 @@ case $name in
     }}' ;;
   serve)
     # What the golden-snapshot recycle buys over booting a card per
-    # session, and work-stealing dispatch scaling.
+    # session, and how session throughput scales with pool workers.
     binary=serve_throughput
     extra='{speedup: {
       restore_recycle_over_boot_per_session:
@@ -65,8 +83,8 @@ case $name in
     }}' ;;
   # What amortizing the boot prelude via one ckpt::ForkRunner snapshot
   # buys over booting a platform per variant, and sweep worker scaling.
-  eh) binary=eh_sweep_bench extra='fork_sweep("Eh")' ;;
-  enc) binary=enc_sweep_bench extra='fork_sweep("Enc")' ;;
+  eh) binary=eh_sweep_bench extra=$(fork_sweep Eh) ;;
+  enc) binary=enc_sweep_bench extra=$(fork_sweep Enc) ;;
   sca)
     # traces_to_recovery_* is the first rank-0 checkpoint that holds to
     # the end of the corpus; 0 for the masked device means the
@@ -145,30 +163,29 @@ run_date=$(date -u +%Y-%m-%dT%H:%M:%SZ)
 
 if command -v jq >/dev/null 2>&1; then
   tmp="$out.tmp"
+  # Every benchmark a ratio reads, as a JSON array of names.
+  read_names=$(printf '%s' "$extra" | grep -o 'rate("[^"]*")' \
+         | sed 's/^rate(//; s/)$//' | sort -u | paste -sd, -)
   jq --arg cpu "$cpu_model" --arg compiler "$compiler" \
      --arg git_sha "$git_sha" --arg date "$run_date" \
+     --argjson read_names "[$read_names]" \
      --arg build_type "$build_type" --argjson num_cpus "$num_cpus" '
     def entries(n):
       .benchmarks[]
       | select(.name == n and (.run_type // "iteration") != "aggregate");
-    def rate(n):
-      [entries(n) | .items_per_second] | sort | .[(length / 2) | floor];
+    def spread(n):
+      [entries(n) | .items_per_second] | sort
+      | {median: .[(length / 2) | floor], min: .[0], max: .[-1]};
+    def rate(n): spread(n).median;
     def counter(n; c): [entries(n) | .[c]] | .[0];
-    def fork_sweep(p): {speedup: {
-      fork_sweep_over_boot_sweep:
-        (rate(p + "_ForkSweep/threads:1/real_time") / rate(p + "_BootSweep")),
-      fork_threads_2_over_1:
-        (rate(p + "_ForkSweep/threads:2/real_time")
-         / rate(p + "_ForkSweep/threads:1/real_time")),
-      fork_threads_4_over_1:
-        (rate(p + "_ForkSweep/threads:4/real_time")
-         / rate(p + "_ForkSweep/threads:1/real_time"))
-    }};
-    . + '"$extra"'
+    . as $root
+    | . + '"$extra"'
+    + {spread: (reduce $read_names[] as $n ({}; .[$n] = ($root | spread($n))))}
     + {host_context: {
         cpu_model: $cpu, '"$host_cpus"' compiler: $compiler,
         git_sha: $git_sha, date: $date, build_type: $build_type
-    }}' "$out" > "$tmp" && mv "$tmp" "$out"
+    }}' "$out" > "$tmp" || { rm -f "$tmp"; exit 1; }
+  mv "$tmp" "$out"
 else
   echo "warning: jq not found — ratios/host_context not appended" >&2
 fi
