@@ -201,12 +201,25 @@ struct Tl2PhaseInfo {
   bool error = false;
 };
 
-/// Observer hook of the layer-2 bus.
+class Tl2PhaseEnergy;
+
+/// Observer hook of the layer-2 bus. A plain observer is called on the
+/// exact cycle each phase finishes, which keeps the event-driven bus
+/// process waking at every boundary while it is attached.
 class Tl2Observer {
  public:
   virtual ~Tl2Observer() = default;
   virtual void addressPhaseDone(const Tl2PhaseInfo& /*info*/) {}
   virtual void dataPhaseDone(const Tl2PhaseInfo& /*info*/) {}
+
+  /// Fused pricing path (the layer-2 counterpart of
+  /// Tl1Observer::fusedFrameEnergy): an observer that is a
+  /// bus::Tl2PhaseEnergy engine returns it here, and Tl2Bus prices each
+  /// phase through it as the phase retires — non-virtually, straight
+  /// from the request — instead of calling the two callbacks above.
+  /// The engine needs no exact-cycle wake-up: its readers bring the bus
+  /// current first. Returning nullptr (the default) opts out.
+  virtual Tl2PhaseEnergy* fusedPhaseEnergy() { return nullptr; }
 };
 
 } // namespace sct::bus
