@@ -37,6 +37,9 @@ struct Energy {
     quanta += o.quanta;
     return *this;
   }
+  friend constexpr Energy operator+(Energy a, Energy b) {
+    return Energy{a.quanta + b.quanta};
+  }
   friend constexpr Energy operator-(Energy a, Energy b) {
     return Energy{a.quanta - b.quanta};
   }
