@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "../testbench.h"
 #include "power/characterizer.h"
 #include "power/tl1_power_model.h"
@@ -157,6 +159,43 @@ TEST(Tl2PowerModelTest, PhasesAreChargedWithoutCrossTransactionState) {
   // One write qualifier never driven, byte enables 0xF each phase.
   EXPECT_EQ(pm.estimatedTransitions(SignalId::EB_Write), 0u);
   EXPECT_EQ(pm.estimatedTransitions(SignalId::EB_BE), 12u);
+}
+
+TEST(Tl2PowerModelTest, OneFusedEnginePerBus) {
+  Tl2Bench tb;
+  Tl2PowerModel pm(characterizedTable());
+  Tl2PowerModel second(characterizedTable());
+  tb.bus.addObserver(pm);
+  EXPECT_THROW(tb.bus.addObserver(second), std::logic_error);
+  // Detaching frees the slot.
+  tb.bus.removeObserver(pm);
+  tb.bus.addObserver(second);
+  tb.run(trace::randomMix(8, 20, testbench::bothRegions()));
+  EXPECT_EQ(pm.totalEnergy_fJ(), 0.0);
+  EXPECT_GT(second.totalEnergy_fJ(), 0.0);
+}
+
+TEST(Tl2PowerModelTest, ModelAndBusMayBeDestroyedInEitherOrder) {
+  const trace::BusTrace t = trace::randomMix(9, 20, testbench::bothRegions());
+  {
+    // The model dies first: the bus keeps running without it.
+    Tl2Bench tb;
+    {
+      Tl2PowerModel pm(characterizedTable());
+      tb.bus.addObserver(pm);
+    }
+    tb.run(t);
+    EXPECT_TRUE(tb.bus.idle());
+  }
+  // The bus dies first: the model's readers stop syncing with it.
+  Tl2PowerModel pm(characterizedTable());
+  {
+    Tl2Bench tb;
+    tb.bus.addObserver(pm);
+    tb.run(t);
+  }
+  EXPECT_GT(pm.totalEnergy_fJ(), 0.0);
+  EXPECT_GT(pm.estimatedTransitions(SignalId::EB_A), 0u);
 }
 
 } // namespace
