@@ -11,9 +11,13 @@
 //  * per-request result/slave/phase lengths/accept/finish cycles,
 //  * read-result payloads and final slave memory images,
 //  * the cycle number of every observer callback,
-//  * Tl2PowerModel interval samples and accumulated energy (exact
-//    double equality — the callback sequence is the same, so the
-//    floating-point operation order must be too).
+//  * Tl2PowerModel interval samples, accumulated energy, per-signal
+//    transition counts and ledger splits — energy is an exact integer
+//    (bus::Energy), so EXPECT_EQ holds whether the event path prices a
+//    phase on its own edge or in a batch when it retires it.
+// The power model is a fused engine: with no plain observer beside it
+// the event path never wakes for a boundary, and its readers retire
+// due boundaries first (the LazyModel cases below).
 // Workloads sweep the interesting regimes: dense mixes (unit backlog),
 // sparse issue gaps (dead-cycle warp), decode misses, wait-state
 // combinations, and single-class floods that saturate the
@@ -27,6 +31,8 @@
 #include "../testbench.h"
 #include "bus/memory_slave.h"
 #include "bus/tl2_bus.h"
+#include "obs/ledger.h"
+#include "obs/stats.h"
 #include "power/tl2_power_model.h"
 #include "trace/replay_master.h"
 #include "trace/workloads.h"
@@ -445,6 +451,154 @@ TEST(Tl2EventEquivalence, ObserverAttachMidRunAgrees) {
   EXPECT_EQ(ev.total_fJ, pc.total_fJ);
   expectBusStatsEqual(ev.bus, pc.bus);
   EXPECT_EQ(ev.finishCycle, pc.finishCycle);
+}
+
+// ---------------------------------------------------------------------------
+// The fused model alone: the event-driven bus stays parked and prices
+// every phase when it retires it.
+
+/// Everything an external reader of the model can see.
+struct LazyModelResult {
+  std::vector<double> probe;  ///< energySinceLastCall_fJ per probe point.
+  std::array<std::uint64_t, bus::kSignalCount> transitions{};
+  double total_fJ = 0.0;
+  obs::LedgerView ledger;
+  bus::Tl2BusStats bus;
+  std::uint64_t finishCycle = 0;
+  std::uint64_t clockParks = 0;
+};
+
+struct LazyModelPlan {
+  std::uint64_t probeEvery = 1;  ///< Probe period in cycles; 0 = never.
+  std::uint64_t attachAt = 0;    ///< Cycle the model attaches on.
+  std::uint64_t detachAt = sim::Clock::kNeverWake;
+  bool withModel = true;  ///< False: the observer-free baseline.
+};
+
+LazyModelResult lazyModelRun(const BusTrace& t, bool perCycle,
+                             const LazyModelPlan& plan) {
+  Platform p(perCycle, testbench::waitedCtl());
+  obs::StatsRegistry reg;
+  p.clk.attachObs(reg);
+  power::Tl2PowerModel pm(variedTable());
+  obs::EnergyLedger ledger;
+  pm.attachLedger(ledger);
+  trace::Tl2ReplayMaster master(p.clk, "master", p.bus, t);
+  LazyModelResult r;
+  while (!master.done()) {
+    const std::uint64_t c = p.clk.cycle();
+    if (plan.withModel && c == plan.attachAt) p.bus.addObserver(pm);
+    if (plan.withModel && c == plan.detachAt) p.bus.removeObserver(pm);
+    p.clk.runCycles(1);
+    if (plan.probeEvery != 0 && (c + 1) % plan.probeEvery == 0) {
+      r.probe.push_back(pm.energySinceLastCall_fJ());
+    }
+  }
+  for (std::size_t i = 0; i < bus::kSignalCount; ++i) {
+    r.transitions[i] = pm.estimatedTransitions(static_cast<bus::SignalId>(i));
+  }
+  r.total_fJ = pm.totalEnergy_fJ();
+  r.ledger = ledger.view();
+  r.bus = p.bus.stats();
+  r.finishCycle = master.stats().finishCycle;
+  r.clockParks = reg.counter("clk.parks").value();
+  return r;
+}
+
+template <std::size_t N>
+std::int64_t quantaSum(const std::array<bus::Energy, N>& split) {
+  std::int64_t s = 0;
+  for (const bus::Energy e : split) s += e.quanta;
+  return s;
+}
+
+void expectLazyIdentical(const LazyModelResult& ev,
+                         const LazyModelResult& pc) {
+  ASSERT_EQ(ev.probe.size(), pc.probe.size());
+  for (std::size_t i = 0; i < pc.probe.size(); ++i) {
+    EXPECT_EQ(ev.probe[i], pc.probe[i]) << "probe " << i;
+  }
+  for (std::size_t i = 0; i < bus::kSignalCount; ++i) {
+    EXPECT_EQ(ev.transitions[i], pc.transitions[i])
+        << bus::signalName(static_cast<bus::SignalId>(i));
+  }
+  EXPECT_EQ(ev.total_fJ, pc.total_fJ);
+  EXPECT_EQ(ev.ledger, pc.ledger);
+  if constexpr (obs::kEnabled) {
+    // Every ledger dimension sums to the model total, exactly.
+    const std::int64_t total = bus::Energy::fromFj(ev.total_fJ).quanta;
+    EXPECT_EQ(quantaSum(ev.ledger.byBundle), total);
+    EXPECT_EQ(quantaSum(ev.ledger.byClass), total);
+    EXPECT_EQ(quantaSum(ev.ledger.bySlave), total);
+    EXPECT_EQ(quantaSum(ev.ledger.byMaster), total);
+  }
+  expectBusStatsEqual(ev.bus, pc.bus);
+  EXPECT_EQ(ev.finishCycle, pc.finishCycle);
+}
+
+TEST(Tl2EventEquivalence, LazyModelProbedEveryCycleAgrees) {
+  // Only the model attached; an external probe reads the interval
+  // method after every cycle, as Figure 6 does. Each read retires the
+  // boundaries the bus passed, so the stream matches the per-cycle
+  // reference sample for sample.
+  const BusTrace t = trace::randomMix(61, 300, testbench::bothRegions(),
+                                      fullMix(), /*issueGapMax=*/3);
+  const LazyModelPlan plan;
+  const LazyModelResult ev = lazyModelRun(t, false, plan);
+  ASSERT_FALSE(ev.probe.empty());
+  EXPECT_GT(ev.total_fJ, 0.0);
+  expectLazyIdentical(ev, lazyModelRun(t, true, plan));
+}
+
+TEST(Tl2EventEquivalence, LazyModelPricesBatchesExactly) {
+  // Reads every 37 cycles, and none at all until the end: boundaries
+  // retire in batches from the master's interface calls and the
+  // readers. Sparse gaps make the clock warp over dead cycles.
+  for (const std::uint64_t every : {std::uint64_t{37}, std::uint64_t{0}}) {
+    for (const unsigned gap : {0u, 60u}) {
+      SCOPED_TRACE("probe every " + std::to_string(every) + ", gap " +
+                   std::to_string(gap));
+      const BusTrace t = trace::randomMix(
+          83 + gap, 250, testbench::bothRegions(), fullMix(), gap);
+      LazyModelPlan plan;
+      plan.probeEvery = every;
+      expectLazyIdentical(lazyModelRun(t, false, plan),
+                          lazyModelRun(t, true, plan));
+    }
+  }
+}
+
+TEST(Tl2EventEquivalence, LazyModelAttachedAndDetachedMidRunAgrees) {
+  // Phases that completed before the attach are never priced, phases
+  // after the detach neither; the detach retires what is due first.
+  const BusTrace t = trace::randomMix(97, 300, testbench::bothRegions(),
+                                      fullMix(), /*issueGapMax=*/2);
+  for (const std::uint64_t every : {std::uint64_t{1}, std::uint64_t{29}}) {
+    SCOPED_TRACE("probe every " + std::to_string(every));
+    LazyModelPlan plan;
+    plan.probeEvery = every;
+    plan.attachAt = 70;
+    plan.detachAt = 410;
+    const LazyModelResult ev = lazyModelRun(t, false, plan);
+    const LazyModelResult pc = lazyModelRun(t, true, plan);
+    ASSERT_GT(ev.finishCycle, plan.detachAt);
+    EXPECT_GT(ev.total_fJ, 0.0);
+    expectLazyIdentical(ev, pc);
+  }
+}
+
+TEST(Tl2EventEquivalence, LazyModelAddsNoClockWakeUps) {
+  // The fused model leaves the bus process parked: the clock parks
+  // exactly as often as in the observer-free run.
+  const BusTrace t = trace::randomMix(19, 200, testbench::bothRegions(),
+                                      fullMix(), /*issueGapMax=*/40);
+  LazyModelPlan plan;
+  plan.probeEvery = 0;
+  const LazyModelResult withModel = lazyModelRun(t, false, plan);
+  plan.withModel = false;
+  const LazyModelResult bare = lazyModelRun(t, false, plan);
+  EXPECT_EQ(withModel.clockParks, bare.clockParks);
+  EXPECT_EQ(withModel.finishCycle, bare.finishCycle);
 }
 
 } // namespace

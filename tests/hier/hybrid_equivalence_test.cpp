@@ -23,7 +23,9 @@
 #include "bus/ec_signals.h"
 #include "hier/fidelity_controller.h"
 #include "hier/hybrid_bus.h"
+#include "hier/roi_trigger.h"
 #include "obs/ledger.h"
+#include "power/budget.h"
 #include "power/profile.h"
 #include "power/tl1_power_model.h"
 #include "power/tl2_power_model.h"
@@ -223,6 +225,83 @@ TEST(HybridEquivalence, RoiWindowsAreBitIdenticalToPureTl1) {
   EXPECT_NEAR(tl2Aggregate_fJ, pm2.totalEnergy_fJ(),
               1e-9 * (1.0 + pm2.totalEnergy_fJ()));
   EXPECT_GT(pm2.totalEnergy_fJ(), 0.0);
+}
+
+/// What an energy-driven switch schedule leaves behind.
+struct BudgetRun {
+  std::vector<FidelityController::Region> regions;
+  std::uint64_t switches = 0;
+  std::uint64_t windowsTripped = 0;
+  double tl1_fJ = 0.0;
+  double tl2_fJ = 0.0;
+  std::uint64_t elapsed = 0;
+};
+
+BudgetRun budgetRun(bool perCycleTl2) {
+  const auto table = distinctTable();
+  sim::Kernel kernel;
+  sim::Clock clk{kernel, "clk", 10};
+  HybridBus hb{clk, "ecbus"};
+  bus::MemorySlave fast{"ram", testbench::fastCtl()};
+  bus::MemorySlave waited{"eeprom", testbench::waitedCtl()};
+  hb.attach(fast);
+  hb.attach(waited);
+  hb.tl2().setPerCycleProcess(perCycleTl2);
+  power::Tl1PowerModel pm1(table);
+  hb.tl1().addObserver(pm1);
+  power::Tl2PowerModel pm2(table);
+  hb.tl2().addObserver(pm2);
+
+  FidelityController ctrl(clk, hb);
+  EnergyBudgetTrigger budget(power::gsm5V(), /*clockPeriodPs=*/10,
+                             /*chipScale=*/10000.0, /*windowCycles=*/32,
+                             /*triggerFraction=*/0.8,
+                             /*holdCycles=*/48);
+  ctrl.addTrigger(budget);
+  ctrl.attachPower(pm1, pm2);
+
+  // Bursty traffic: dense stretches trip the budget window, the gaps
+  // between them let the hold expire and the bus fall back to TL2 (16
+  // tripped windows and 30 switches at this chip scale).
+  const auto t = trace::randomMix(404, 500, testbench::bothRegions(),
+                                  trace::MixRatios{2, 2, 1, 1, 1},
+                                  /*issueGapMax=*/24);
+  trace::ReplayMaster m(clk, "m", hb, hb, t);
+  BudgetRun r;
+  r.elapsed = m.runToCompletion();
+  EXPECT_TRUE(m.done());
+  ctrl.finalize();
+  r.regions = ctrl.regions();
+  r.switches = ctrl.switches();
+  r.windowsTripped = budget.windowsTripped();
+  r.tl1_fJ = pm1.totalEnergy_fJ();
+  r.tl2_fJ = pm2.totalEnergy_fJ();
+  return r;
+}
+
+TEST(HybridEquivalence, EnergyBudgetSwitchesMatchPerCycleTl2) {
+  // The controller feeds the TL2 model's total to the budget trigger
+  // on every tick. The fused model prices phases lazily and syncs on
+  // that read, so every window sees the energy the per-cycle TL2
+  // reference books by then: the same windows trip, the same switch
+  // cycles follow.
+  const BudgetRun ev = budgetRun(false);
+  const BudgetRun pc = budgetRun(true);
+  EXPECT_GT(ev.windowsTripped, 0u);
+  EXPECT_GT(ev.switches, 10u);
+  EXPECT_EQ(ev.windowsTripped, pc.windowsTripped);
+  EXPECT_EQ(ev.switches, pc.switches);
+  EXPECT_EQ(ev.elapsed, pc.elapsed);
+  ASSERT_EQ(ev.regions.size(), pc.regions.size());
+  for (std::size_t i = 0; i < pc.regions.size(); ++i) {
+    SCOPED_TRACE("region " + std::to_string(i));
+    EXPECT_EQ(ev.regions[i].fidelity, pc.regions[i].fidelity);
+    EXPECT_EQ(ev.regions[i].fromCycle, pc.regions[i].fromCycle);
+    EXPECT_EQ(ev.regions[i].toCycle, pc.regions[i].toCycle);
+    EXPECT_EQ(ev.regions[i].energy_fJ, pc.regions[i].energy_fJ);
+  }
+  EXPECT_EQ(ev.tl1_fJ, pc.tl1_fJ);
+  EXPECT_EQ(ev.tl2_fJ, pc.tl2_fJ);
 }
 
 } // namespace
