@@ -45,16 +45,18 @@ for preset in release asan-ubsan obs-off; do
   # restore-equivalence (ckpt), decoded-block dispatch (iss), the
   # card-farm daemon incl. its SIGTERM drain (serve), the eh, sca and
   # enc threads=1 vs threads=N bit-identity headlines, and the Table 1
-  # and Table 2 pins (paper).
+  # Table 2 and Figure 6 pins (paper). ctest -L takes a regex, so each
+  # label is anchored: a bare "enc" would also select every
+  # "equivalence" test.
   for label in hier ckpt iss serve eh sca enc paper; do
-    run ctest --preset "$preset" -L "$label" --parallel "$jobs"
+    run ctest --preset "$preset" -L "^${label}\$" --parallel "$jobs"
   done
 done
 
 run cmake --preset tsan -DSCT_WERROR=ON
 run cmake --build --preset tsan --parallel "$jobs"
 for label in serve sca eh enc ckpt; do
-  run ctest --preset tsan -L "$label" --parallel "$jobs"
+  run ctest --preset tsan -L "^${label}\$" --parallel "$jobs"
 done
 run ctest --preset tsan -R ParallelRunner --parallel "$jobs"
 
