@@ -1,6 +1,8 @@
 #include "eh/intermittent_runner.h"
 
 #include <algorithm>
+#include <string>
+#include <string_view>
 
 #include "eh/workload.h"
 
@@ -17,7 +19,20 @@ std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
   return h;
 }
 
+/// Tags of the bookkeeping sections: the simulator's power-model and
+/// ledger state, which a real card does not persist.
+constexpr std::string_view kPmTag = "pm";
+constexpr std::string_view kLedgerTag = "ledger";
+
 } // namespace
+
+std::size_t cardStateBytes(const ckpt::Snapshot& snap) {
+  std::size_t n = 0;
+  for (const ckpt::Snapshot::Section& s : snap.sections()) {
+    if (s.tag != kPmTag && s.tag != kLedgerTag) n += s.payload.size();
+  }
+  return n;
+}
 
 IntermittentRunner::IntermittentRunner(const power::SignalEnergyTable& table,
                                        const soc::AssembledProgram& program)
@@ -29,8 +44,8 @@ IntermittentRunner::IntermittentRunner(const power::SignalEnergyTable& table,
   // the snapshot's parent was prepared (serve::CardInstance contract).
   soc_.loadProgram(program);
   soc_.registerCheckpoint(registry_);
-  registry_.add("pm", pm_);
-  registry_.add("ledger", ledger_);
+  registry_.add(std::string(kPmTag), pm_);
+  registry_.add(std::string(kLedgerTag), ledger_);
   // The supply hook runs AFTER the bus process (registered at default
   // priority 0 by Tl1Bus) so it reads the cycle's committed energy.
   // Registered unconditionally at construction: the clock's handler
@@ -128,17 +143,20 @@ RunResult IntermittentRunner::run(const FieldProfile& field,
   pmMark_ = pm_.totalEnergy_fJ();
 
   // Backup #0 is free: the state the card entered the field with is
-  // already in NVM (it is the personalized card image).
-  std::vector<std::uint8_t> backupBytes =
-      registry_.saveAll().saveToBuffer();
+  // already in NVM (it is the personalized card image). A backup saves
+  // and restores the whole registry, but the NVM engine is priced by
+  // the card's own state only.
+  ckpt::Snapshot snap = registry_.saveAll();
+  std::vector<std::uint8_t> backupBytes = snap.saveToBuffer();
+  std::size_t cardBytes = cardStateBytes(snap);
   backupSimCycle_ = clock.cycle();
-  res.checkpointBytes = backupBytes.size();
+  res.checkpointBytes = cardBytes;
   res.checkpointDigest = fnv1a(backupBytes);
 
   // Restart headroom: recharging exactly to vOn and then paying the
   // restore must not land back below the brownout threshold, or the
   // card would livelock in a trip/restore loop.
-  const BackupCosts restoreEstimate = scheme.restoreCosts(backupBytes.size());
+  const BackupCosts restoreEstimate = scheme.restoreCosts(cardBytes);
   supply.setRestartLevel_fJ(
       std::max(supply.restartLevel_fJ(),
                supply.brownoutLevel_fJ() + 2.0 * restoreEstimate.energy_fJ));
@@ -158,8 +176,10 @@ RunResult IntermittentRunner::run(const FieldProfile& field,
   };
 
   const auto takeBackup = [&] {
-    backupBytes = registry_.saveAll().saveToBuffer();
-    const BackupCosts sc = scheme.saveCosts(backupBytes.size());
+    snap = registry_.saveAll();
+    backupBytes = snap.saveToBuffer();
+    cardBytes = cardStateBytes(snap);
+    const BackupCosts sc = scheme.saveCosts(cardBytes);
     // The core stalls while the NVM engine streams the image out; the
     // field keeps charging, the lump sum models the write energy.
     for (std::uint64_t i = 0;
@@ -172,7 +192,7 @@ RunResult IntermittentRunner::run(const FieldProfile& field,
     res.backupEnergy_fJ += sc.energy_fJ;
     ++res.backups;
     backupSimCycle_ = clock.cycle();
-    res.checkpointBytes = backupBytes.size();
+    res.checkpointBytes = cardBytes;
     res.checkpointDigest = fnv1a(backupBytes);
   };
 
@@ -195,7 +215,7 @@ RunResult IntermittentRunner::run(const FieldProfile& field,
       }
       if (wall_ >= cfg.maxWallCycles) break;
       // Recharged: pay the restore and rewind to the last backup.
-      const BackupCosts rc = scheme.restoreCosts(backupBytes.size());
+      const BackupCosts rc = scheme.restoreCosts(cardBytes);
       for (std::uint64_t i = 0;
            i < rc.cycles && wall_ < cfg.maxWallCycles; ++i) {
         supply.stepOff(wall_);

@@ -110,7 +110,7 @@ struct RunResult {
   double harvested_fJ = 0.0;
   double consumed_fJ = 0.0;
   double finalStored_fJ = 0.0;
-  std::size_t checkpointBytes = 0;    ///< Size of the last backup.
+  std::size_t checkpointBytes = 0;    ///< cardStateBytes of the last backup.
   std::uint64_t checkpointDigest = 0; ///< FNV-1a of the last backup.
   std::uint32_t progressWord = 0;     ///< Blocks finished (workload).
   std::uint32_t digestWord = 0;       ///< Workload digest word.
@@ -131,6 +131,12 @@ struct RunResult {
                      static_cast<double>(wallCycles);
   }
 };
+
+/// The bytes of the card's own state in a runner snapshot: every
+/// section but the power-model ("pm") and ledger bookkeeping. Backup
+/// and restore are priced by this size, so the simulator's own
+/// bookkeeping never moves the modelled NVM cost.
+std::size_t cardStateBytes(const ckpt::Snapshot& snap);
 
 class IntermittentRunner {
  public:

@@ -7,12 +7,17 @@
 //    overhead,
 //  * the whole attempt is bit-identical run-to-run (energies compared
 //    exactly), and
-//  * a supply collapse with the detector disabled is a hard death.
+//  * a supply collapse with the detector disabled is a hard death, and
+//  * backup and restore are priced by the card's own state, not by the
+//    simulator's power-model and ledger bookkeeping sections.
 #include "eh/intermittent_runner.h"
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "bus/ec_signals.h"
+#include "ckpt/checkpoint.h"
 #include "eh/workload.h"
 #include "obs/stats.h"
 #include "power/coeff_table.h"
@@ -281,6 +286,74 @@ TEST(Intermittent, PublishRunObsExportsTheHeadlineCounters) {
 #else
   (void)reg;  // publishRunObs must at least be callable in OFF builds.
 #endif
+}
+
+/// Records the byte counts the runner prices backups and restores by.
+class RecordingScheme final : public eh::ThresholdScheme {
+ public:
+  eh::BackupCosts saveCosts(std::size_t bytes) const override {
+    saved.push_back(bytes);
+    return eh::ThresholdScheme::saveCosts(bytes);
+  }
+  eh::BackupCosts restoreCosts(std::size_t bytes) const override {
+    restored.push_back(bytes);
+    return eh::ThresholdScheme::restoreCosts(bytes);
+  }
+  mutable std::vector<std::size_t> saved;
+  mutable std::vector<std::size_t> restored;
+};
+
+TEST(Intermittent, CardStateBytesIgnoreBookkeepingSections) {
+  const power::SignalEnergyTable table = fixedTable();
+  eh::IntermittentRunner runner(table, eh::cryptoWorkload(kBlocks));
+  const ckpt::Snapshot snap = runner.bootToMarker(eh::kPreludeMagic);
+  ASSERT_NE(snap.find("pm"), nullptr);
+  ASSERT_NE(snap.find("ledger"), nullptr);
+  const std::size_t card = eh::cardStateBytes(snap);
+  EXPECT_GT(card, 0u);
+
+  // Pad each bookkeeping section by 4 KiB: the card state is unchanged.
+  ckpt::Snapshot padded;
+  for (const ckpt::Snapshot::Section& sec : snap.sections()) {
+    std::vector<std::uint8_t> payload = sec.payload;
+    if (sec.tag == "pm" || sec.tag == "ledger") {
+      payload.resize(payload.size() + 4096);
+    }
+    padded.addSection(sec.tag, sec.version, std::move(payload));
+  }
+  EXPECT_GT(padded.serialize().size(), snap.serialize().size());
+  EXPECT_EQ(eh::cardStateBytes(padded), card);
+}
+
+TEST(Intermittent, BackupAndRestoreArePricedByCardState) {
+  // Forked at the prelude like the sweeps, so enough workload remains
+  // after the fork point to brown out in the dark phase.
+  const power::SignalEnergyTable table = fixedTable();
+  const soc::AssembledProgram program = eh::cryptoWorkload(4 * kBlocks);
+  eh::SquareBurstField field(3.0, 6000, 6000, /*phase=*/6000);
+  RecordingScheme scheme;
+  eh::IntermittentRunner runner(table, program);
+  const ckpt::Snapshot boot = runner.bootToMarker(eh::kPreludeMagic);
+  const eh::RunResult r = runner.run(field, scheme, starvedConfig());
+  ASSERT_GE(r.backups, 1u);
+  ASSERT_GE(r.restores, 1u);
+
+  // The first size priced is the restart-headroom estimate for backup
+  // #0, the state the run started from.
+  ASSERT_FALSE(scheme.restored.empty());
+  EXPECT_EQ(scheme.restored.front(), eh::cardStateBytes(boot));
+  // Every priced size is the card state of a saved snapshot, and the
+  // run's backup energy is exactly what those sizes cost.
+  double backup_fJ = 0.0;
+  for (const std::size_t bytes : scheme.saved) {
+    EXPECT_EQ(bytes, r.checkpointBytes);
+    backup_fJ += eh::ThresholdScheme().saveCosts(bytes).energy_fJ;
+  }
+  EXPECT_EQ(scheme.saved.size(), r.backups);
+  EXPECT_EQ(r.backupEnergy_fJ, backup_fJ);
+  for (const std::size_t bytes : scheme.restored) {
+    EXPECT_EQ(bytes, r.checkpointBytes);
+  }
 }
 
 } // namespace
