@@ -27,20 +27,23 @@ void Tl2MasterBridge::sync() {
   // bookkeeping; asking for the next finish brings it current (O(1)
   // when it already is) before trusting the published stages.
   if (stagePublishing_) lower_.nextFinishCycle();
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    Slot& s = it->second;
-    if (s.lower.stage != Tl2Stage::Finished) {
-      ++it;
+  postFinished();
+}
+
+void Tl2MasterBridge::postFinished() {
+  // Compact the in-flight list in place, keeping issue order.
+  std::size_t kept = 0;
+  for (Slot* s : pending_) {
+    if (s->lower.stage != Tl2Stage::Finished) {
+      pending_[kept++] = s;
       continue;
     }
-    Tl1Request& req = *it->first;
-    const BusStatus status = s.lower.kind == Kind::Write
-                                 ? lower_.write(s.lower)
-                                 : lower_.read(s.lower);
-    copyOut(req, s, status);
+    Tl1Request& req = *s->owner;
+    copyOut(req, *s, callLower(*s));
     req.stage = Tl1Stage::Finished;
-    it = pending_.erase(it);
+    free_.push_back(s);
   }
+  pending_.resize(kept);
 }
 
 void Tl2MasterBridge::reset() {
@@ -50,11 +53,49 @@ void Tl2MasterBridge::reset() {
   // left would still be referenced by the lower bus and cannot be torn
   // down safely.
   assert(pending_.empty() && "reset() requires an idle lower bus");
-  pending_.clear();
+}
+
+BusStatus Tl2MasterBridge::submit(Tl1Request& req) {
+  if (free_.empty()) free_.push_back(&pool_.emplace_back());
+  Slot& s = *free_.back();
+  s.lower = Tl2Request{};
+  s.lower.kind = req.kind;
+  s.lower.address = req.address;
+  s.lower.bytes = req.byteCount();
+  s.lower.data = s.buffer.data();
+  if (req.kind == Kind::Write) {
+    if (req.burst() || req.size == AccessSize::Word) {
+      std::memcpy(s.buffer.data(), req.data.data(), s.lower.bytes);
+    } else {
+      // Sub-word stores arrive lane-aligned on the layer-1 write bus;
+      // extract the active lanes for the byte-exact layer-2 transfer.
+      const unsigned lane = static_cast<unsigned>(req.address & 0x3u);
+      std::memcpy(s.buffer.data(),
+                  reinterpret_cast<const std::uint8_t*>(req.data.data()) +
+                      lane,
+                  s.lower.bytes);
+    }
+  }
+  const BusStatus status = callLower(s);
+  if (status == BusStatus::Error) {
+    req.result = BusStatus::Error;
+    return BusStatus::Error;
+  }
+  if (status != BusStatus::Request) {
+    // Accept refused (outstanding limit); the slot stays free and the
+    // submit is retried transparently on the next poll.
+    return BusStatus::Wait;
+  }
+  free_.pop_back();
+  s.owner = &req;
+  pending_.push_back(&s);
+  req.stage = Tl1Stage::Requested;
+  req.result = BusStatus::Wait;
+  return BusStatus::Request;
 }
 
 BusStatus Tl2MasterBridge::transport(Tl1Request& req) {
-  auto it = pending_.find(&req);
+  const auto it = find(req);
   if (it == pending_.end()) {
     if (req.stage == Tl1Stage::Finished) {
       // sync() posted the result; this poll is the pickup.
@@ -74,64 +115,25 @@ BusStatus Tl2MasterBridge::transport(Tl1Request& req) {
       req.result = BusStatus::Error;
       return BusStatus::Error;
     }
-    Slot slot;
-    slot.lower.kind = req.kind;
-    slot.lower.address = req.address;
-    slot.lower.bytes = req.byteCount();
-    if (req.kind == Kind::Write) {
-      if (req.burst() || req.size == AccessSize::Word) {
-        std::memcpy(slot.buffer.data(), req.data.data(),
-                    slot.lower.bytes);
-      } else {
-        // Sub-word stores arrive lane-aligned on the layer-1 write bus;
-        // extract the active lanes for the byte-exact layer-2 transfer.
-        const unsigned lane = static_cast<unsigned>(req.address & 0x3u);
-        std::memcpy(slot.buffer.data(),
-                    reinterpret_cast<const std::uint8_t*>(
-                        req.data.data()) +
-                        lane,
-                    slot.lower.bytes);
-      }
-    }
-    auto [pos, inserted] = pending_.emplace(&req, std::move(slot));
-    Slot& s = pos->second;
-    s.lower.data = s.buffer.data();
-    const BusStatus status = s.lower.kind == Kind::Write
-                                 ? lower_.write(s.lower)
-                                 : lower_.read(s.lower);
-    if (status == BusStatus::Error) {
-      pending_.erase(pos);
-      req.result = BusStatus::Error;
-      return BusStatus::Error;
-    }
-    if (status != BusStatus::Request) {
-      // Accept refused (outstanding limit); retry transparently on the
-      // next poll.
-      pending_.erase(pos);
-      return BusStatus::Wait;
-    }
-    req.stage = Tl1Stage::Requested;
-    req.result = BusStatus::Wait;
-    return BusStatus::Request;
+    return submit(req);
   }
 
+  Slot& s = **it;
   if (req.stage == Tl1Stage::Idle) {
     // The master abandoned this payload (Tl1Request::reset()) while its
     // previous transaction was still in flight and is now re-submitting
     // the same object. Finish the abandoned lower transaction out
     // before accepting the payload anew — answering from the stale slot
     // would hand the master a result it never asked for.
-    Slot& s = it->second;
     if (stagePublishing_ && s.lower.stage != Tl2Stage::Finished) {
       lower_.nextFinishCycle();
     }
-    const BusStatus stale = s.lower.kind == Kind::Write
-                                ? lower_.write(s.lower)
-                                : lower_.read(s.lower);
+    const BusStatus stale = callLower(s);
     if (stale != BusStatus::Ok && stale != BusStatus::Error) {
       return BusStatus::Wait;  // Old transaction still draining.
     }
     pending_.erase(it);
+    free_.push_back(&s);
     return transport(req);  // Re-enter as a fresh submit.
   }
 
@@ -140,7 +142,6 @@ BusStatus Tl2MasterBridge::transport(Tl1Request& req) {
   // from its own process), a poll before that point is a guaranteed
   // side-effect-free Wait — skip the virtual round trip entirely; the
   // cycle-true master above polls every cycle regardless.
-  Slot& s = it->second;
   if (stagePublishing_ && s.lower.stage != Tl2Stage::Finished) {
     // An observer-free event-driven lower bus defers its completion
     // bookkeeping; asking for the next finish brings it current (O(1)
@@ -148,15 +149,14 @@ BusStatus Tl2MasterBridge::transport(Tl1Request& req) {
     lower_.nextFinishCycle();
     if (s.lower.stage != Tl2Stage::Finished) return BusStatus::Wait;
   }
-  const BusStatus status = s.lower.kind == Kind::Write
-                               ? lower_.write(s.lower)
-                               : lower_.read(s.lower);
+  const BusStatus status = callLower(s);
   if (status != BusStatus::Ok && status != BusStatus::Error) {
     return BusStatus::Wait;
   }
   copyOut(req, s, status);
   req.stage = Tl1Stage::Idle;
   pending_.erase(it);
+  free_.push_back(&s);
   return status;
 }
 

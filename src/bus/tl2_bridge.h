@@ -21,12 +21,22 @@
 //    transaction finished and posts the upper payload as
 //    Tl1Stage::Finished for a later pickup poll. Masters may then gate
 //    on the public stage field and park until nextFinishCycle() + 1.
+//
+// Per-transaction state lives in a pool of slots the bridge owns: a
+// slot is taken from a free list at accept and returned at pickup, so
+// steady-state traffic allocates nothing. The lower bus holds a
+// pointer to the slot's Tl2Request while the transaction is in flight,
+// so slot addresses never move (a deque only ever appends). Slots in
+// flight sit in a short list in issue order, bounded by the lower
+// bus's outstanding limit; finding a payload's slot is a linear scan
+// over it.
 #ifndef SCT_BUS_TL2_BRIDGE_H
 #define SCT_BUS_TL2_BRIDGE_H
 
 #include <array>
 #include <cstring>
-#include <unordered_map>
+#include <deque>
+#include <vector>
 
 #include "bus/ec_interfaces.h"
 #include "bus/ec_request.h"
@@ -50,10 +60,13 @@ class Tl2MasterBridge final : public EcInstrIf, public EcDataIf {
   /// Bring published upper stages current, then forward the lower
   /// bus's completion hint (kFinishUnknown when the lower bus cannot
   /// predict — masters then poll every cycle and sync() degrades to a
-  /// cheap no-op path).
+  /// cheap no-op path). The lower bus is asked once: that call brings
+  /// its lazy completions current, and the pickups that follow cannot
+  /// move its next finish.
   std::uint64_t nextFinishCycle() override {
-    sync();
-    return lower_.nextFinishCycle();
+    const std::uint64_t next = lower_.nextFinishCycle();
+    postFinished();
+    return next;
   }
 
   /// Conservatively true: the lower bus may predict, and the sync()
@@ -79,6 +92,10 @@ class Tl2MasterBridge final : public EcInstrIf, public EcDataIf {
 
   /// Transactions currently in flight through the bridge.
   std::size_t pendingCount() const { return pending_.size(); }
+
+  /// Slots the pool has ever allocated: the peak of pendingCount() plus
+  /// one for a submit the lower bus refused.
+  std::size_t slotCapacity() const { return pool_.size(); }
 
   /// -- Checkpoint (see ckpt/checkpoint.h) ------------------------------
   /// A drained bridge holds no state beyond its construction arguments,
@@ -110,18 +127,37 @@ class Tl2MasterBridge final : public EcInstrIf, public EcDataIf {
 
  private:
   struct Slot {
+    Tl1Request* owner = nullptr;  ///< Upper payload while in flight.
     Tl2Request lower;
     std::array<std::uint8_t, 16> buffer;
   };
 
   BusStatus transport(Tl1Request& req);
+  /// Open a layer-2 transaction for a validated fresh payload.
+  BusStatus submit(Tl1Request& req);
   /// Move the finished lower result into the upper payload (lane
   /// placement included). The caller decides the upper stage.
   void copyOut(Tl1Request& req, Slot& s, BusStatus status);
+  /// Pick up every finished lower transaction and post its upper
+  /// payload as Finished (sync() without bringing the lower bus
+  /// current first).
+  void postFinished();
+  /// The in-flight slot of `req`, or pending_.end().
+  std::vector<Slot*>::iterator find(const Tl1Request& req) {
+    auto it = pending_.begin();
+    while (it != pending_.end() && (*it)->owner != &req) ++it;
+    return it;
+  }
+  BusStatus callLower(Slot& s) {
+    return s.lower.kind == Kind::Write ? lower_.write(s.lower)
+                                       : lower_.read(s.lower);
+  }
 
   Tl2MasterIf& lower_;
   bool stagePublishing_;  ///< Lower bus advances stages on its own.
-  std::unordered_map<Tl1Request*, Slot> pending_;
+  std::deque<Slot> pool_;      ///< Every slot; addresses are stable.
+  std::vector<Slot*> free_;    ///< Slots not in flight.
+  std::vector<Slot*> pending_; ///< Slots in flight, in issue order.
 };
 
 /// A layer-2 bus packaged with its bridge: a drop-in replacement for

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "../testbench.h"
 #include "bus/memory_slave.h"
 #include "bus_test_util.h"
@@ -222,6 +225,76 @@ TEST_F(BridgeFixture, DecodeErrorsMatchDirectTl2BusAcrossAllClasses) {
   d.data = buf;
   d.bytes = 4;
   EXPECT_EQ(testutil::driveOne(direct.clk, direct.bus, d), BusStatus::Error);
+}
+
+/// A payload its master has collected: back at Idle with a final result.
+bool collected(const Tl1Request& q) {
+  return q.stage == Tl1Stage::Idle && q.result != BusStatus::Wait;
+}
+bool collected(const Tl2Request& q) {
+  return q.stage == Tl2Stage::Idle && q.result != BusStatus::Wait;
+}
+
+/// Record the cycle each request's result reached its master.
+template <typename Request>
+void noteCollected(const std::vector<Request>& reqs,
+                   std::vector<std::uint64_t>& cycles, std::uint64_t cycle) {
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    if (cycles[i] == 0 && collected(reqs[i])) cycles[i] = cycle;
+  }
+}
+
+TEST_F(BridgeFixture, SlotPoolUnderRefusalsMatchesDirectTl2Bus) {
+  // Back-to-back traffic into the waited region with a 16-deep master
+  // window keeps every class at the bus's outstanding limit, so the
+  // bridge sees refused submits (a slot taken and handed straight back)
+  // alongside accepts and pickups throughout. Every slot is reused from
+  // the pool: results, memory and collection cycles match a master on
+  // the layer-2 bus directly.
+  constexpr unsigned kWindow = 16;
+  const auto t = trace::randomMix(
+      57, 1200, std::vector{testbench::waitedRegion()},
+      trace::MixRatios{2, 2, 1, 1, 2}, /*issueGapMax=*/0);
+
+  trace::ReplayMaster m(clk, "m", bus, bus, t, kWindow);
+  std::vector<std::uint64_t> bridged(t.size(), 0);
+  std::size_t maxPending = 0;
+  while (!m.done() && clk.cycle() < 200'000) {
+    clk.runCycles(1);
+    noteCollected(m.requests(), bridged, clk.cycle());
+    maxPending = std::max(maxPending, bus.pendingCount());
+  }
+  ASSERT_TRUE(m.done());
+
+  testbench::Tl2Bench direct;
+  trace::Tl2ReplayMaster d(direct.clk, "d", direct.bus, t, kWindow);
+  std::vector<std::uint64_t> directCollected(t.size(), 0);
+  while (!d.done() && direct.clk.cycle() < 200'000) {
+    direct.clk.runCycles(1);
+    noteCollected(d.requests(), directCollected, direct.clk.cycle());
+  }
+  ASSERT_TRUE(d.done());
+
+  constexpr std::size_t kLowerSlots = 3 * kMaxOutstandingPerClass;
+  EXPECT_GT(m.stats().issueStallCycles, 100u) << "refusals must happen";
+  EXPECT_GT(maxPending, std::size_t{kMaxOutstandingPerClass});
+  EXPECT_LE(maxPending, kLowerSlots);
+  // The pool never outgrows the peak in flight plus one refused submit.
+  EXPECT_LE(bus.bridge().slotCapacity(), maxPending + 1);
+  EXPECT_EQ(bus.pendingCount(), 0u);
+
+  EXPECT_EQ(bridged, directCollected);
+  EXPECT_EQ(m.stats().finishCycle, d.stats().finishCycle);
+  EXPECT_EQ(m.stats().issueStallCycles, d.stats().issueStallCycles);
+  EXPECT_EQ(m.stats().errors, d.stats().errors);
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    ASSERT_EQ(m.requests()[i].result, d.requests()[i].result) << i;
+  }
+  EXPECT_EQ(bus.stats().transactions(), direct.bus.stats().transactions());
+  EXPECT_EQ(bus.stats().busyCycles, direct.bus.stats().busyCycles);
+  for (bus::Address a = 0x8000; a < 0xA000; a += 4) {
+    ASSERT_EQ(waited.peekWord(a), direct.waited.peekWord(a)) << std::hex << a;
+  }
 }
 
 TEST(BridgedSocTest, FirmwareRunsIdenticallyAtLayer2Timing) {
