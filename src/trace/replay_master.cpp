@@ -56,6 +56,8 @@ ReplayMaster::ReplayMaster(sim::Clock& clock, std::string name,
       clock_(clock),
       instrIf_(instrIf),
       dataIf_(dataIf),
+      oneBus_(dynamic_cast<const void*>(&instrIf) ==
+              dynamic_cast<const void*>(&dataIf)),
       maxInFlight_(maxInFlight),
       stageGated_(instrIf.publishesStage() && dataIf.publishesStage()),
       predictive_(instrIf.predictsFinish() || dataIf.predictsFinish()),
@@ -67,10 +69,8 @@ ReplayMaster::ReplayMaster(sim::Clock& clock, std::string name,
   // the master); request payloads are materialised lazily, one per
   // entry as it is issued. reserve() to full size keeps in-flight
   // pointers stable.
-  if (auto* b = dynamic_cast<bus::Tl1Bus*>(&instrIf); b != nullptr &&
-      static_cast<bus::EcDataIf*>(b) == &dataIf) {
-    tl1_ = b;  // Both interfaces are one Tl1Bus: direct-dispatch path.
-  }
+  // One bus object that is a Tl1Bus: direct-dispatch path.
+  if (oneBus_) tl1_ = dynamic_cast<bus::Tl1Bus*>(&instrIf);
   requests_.reserve(trace_.size());
   inFlight_.reserve(maxInFlight_);
   handlerId_ = clock_.onRisingRaw(
@@ -104,7 +104,7 @@ void ReplayMaster::onRisingEdge() {
   // process — no pump needed, no virtual calls spent.
   if (predictive_ && stageGated_ && !inFlight_.empty()) {
     instrIf_.nextFinishCycle();
-    dataIf_.nextFinishCycle();
+    if (!oneBus_) dataIf_.nextFinishCycle();
   }
   // Completion-epoch gate: while the interfaces' finishEpoch sum is
   // unchanged, no in-flight transaction can have reached Finished and
@@ -211,7 +211,7 @@ void ReplayMaster::onRisingEdge() {
     }
     if (predictive_ &&
         instrIf_.nextFinishCycle() != bus::kFinishUnknown &&
-        dataIf_.nextFinishCycle() != bus::kFinishUnknown) {
+        (oneBus_ || dataIf_.nextFinishCycle() != bus::kFinishUnknown)) {
       clock_.parkHandler(handlerId_, sim::Clock::kNeverWake);
     }
     return;
@@ -221,11 +221,12 @@ void ReplayMaster::onRisingEdge() {
 
 void ReplayMaster::parkUntilNextWork(bool refused) {
   // See Tl2ReplayMaster::parkUntilNextWork — identical reasoning, over
-  // the minimum of the two interfaces' predictions (they usually refer
-  // to the same bus object; a duplicate sync is a cheap no-op).
+  // the minimum of the two interfaces' predictions (asked once when
+  // they are one bus object).
   const std::uint64_t nfInstr = instrIf_.nextFinishCycle();
   if (nfInstr == bus::kFinishUnknown) return;  // Poll every cycle.
-  const std::uint64_t nfData = dataIf_.nextFinishCycle();
+  const std::uint64_t nfData =
+      oneBus_ ? nfInstr : dataIf_.nextFinishCycle();
   if (nfData == bus::kFinishUnknown) return;
   const std::uint64_t nf = std::min(nfInstr, nfData);
   std::uint64_t wake =

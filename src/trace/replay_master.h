@@ -108,6 +108,11 @@ class ReplayMaster final : public sim::Module {
   /// multiple-inheritance thunks. Behavior is identical to the generic
   /// path; this is purely a dispatch shortcut.
   bus::Tl1Bus* tl1_ = nullptr;
+  /// Both interfaces are one object (a Tl1Bus, BridgedTl2Bus or
+  /// HybridBus serving fetches and data alike): the completion pump and
+  /// the finish prediction ask it once per edge, not once per
+  /// interface — on a bridged bus each ask runs the bridge's sync.
+  bool oneBus_;
   unsigned maxInFlight_;
   bool stageGated_;  ///< Both interfaces publish the Finished stage.
   bool predictive_;  ///< Either interface may predict completions; when
