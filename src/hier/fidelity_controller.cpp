@@ -30,6 +30,7 @@ FidelityController::~FidelityController() {
 
 void FidelityController::addTrigger(RoiTrigger& trigger) {
   triggers_.push_back(&trigger);
+  if (trigger.consumesEnergy()) feedsEnergy_ = true;
   // The new trigger's answer and horizon count from the next edge.
   clock_.parkHandler(handlerId_, 0);
 }
@@ -167,7 +168,9 @@ void FidelityController::closeRegion(std::uint64_t boundary) {
 }
 
 void FidelityController::feedEnergy(std::uint64_t cycle) {
-  if (triggers_.empty() || (pm1_ == nullptr && pm2_ == nullptr)) return;
+  // Reading the models costs a TL2 retirement sync; skip it unless a
+  // trigger reads the feed.
+  if (!feedsEnergy_ || (pm1_ == nullptr && pm2_ == nullptr)) return;
   const double total = (pm1_ != nullptr ? pm1_->totalEnergy_fJ() : 0.0) +
                        (pm2_ != nullptr ? pm2_->totalEnergy_fJ() : 0.0);
   const double delta = total - energyFed_fJ_;
@@ -184,18 +187,25 @@ void FidelityController::parkToHorizon(std::uint64_t cycle) {
     if (next < horizon) horizon = next;
   }
   // <= cycle + 1 needs no park: the handler ran this cycle, so it runs
-  // on the next one anyway. Submissions and scope changes wake a parked
-  // handler through noteSubmit()/reactNow().
+  // on the next one anyway. Scope changes and the submissions a trigger
+  // asks for wake a parked handler through reactNow()/noteSubmit().
   if (horizon > cycle + 1) clock_.parkHandler(handlerId_, horizon);
 }
 
 void FidelityController::noteSubmit(const bus::Tl1Request& req) {
   const std::uint64_t cycle = clock_.cycle();
-  for (RoiTrigger* t : triggers_) t->onSubmit(req, cycle);
+  // An energy-fed trigger's answer depends on the feed cadence, which
+  // is one feed per submission; keep it.
+  bool wake = feedsEnergy_;
+  for (RoiTrigger* t : triggers_) {
+    // Every trigger hears every submission — no short-circuit.
+    if (t->onSubmit(req, cycle)) wake = true;
+  }
   // A submission can change a trigger's answer this very cycle; the
   // controller runs after the masters within the edge, so waking it is
-  // enough to evaluate the hit immediately.
-  clock_.parkHandler(handlerId_, 0);
+  // enough to evaluate the hit immediately. A submission that changed
+  // no answer or horizon leaves the handler parked.
+  if (wake) clock_.parkHandler(handlerId_, 0);
 }
 
 double FidelityController::modelTotal(Fidelity f) const {

@@ -8,7 +8,12 @@
 // when the desired fidelity changes, and completes it at the first
 // quiesce point — retrying every cycle while the drain is in progress,
 // parked to the triggers' decision horizon otherwise, so TL2 regions
-// keep the clock's dead-cycle warp.
+// keep the clock's dead-cycle warp. A parked controller wakes early for
+// a scope change, or for a submission after which a trigger's
+// onSubmit() reports a changed answer or horizon. When a trigger
+// consumes energy (RoiTrigger::consumesEnergy) every submission wakes
+// it and feeds the energy accrued since the last feed; otherwise the
+// power models are never read for triggers.
 //
 // Power stitching: attachPower() marks both models' cumulative energy
 // at every region boundary, so each Region carries the energy its
@@ -131,6 +136,7 @@ class FidelityController {
   std::uint64_t regionStart_ = 0;
   double regionStartEnergy_fJ_ = 0.0;
 
+  bool feedsEnergy_ = false;  ///< An attached trigger consumes energy.
   power::Tl1PowerModel* pm1_ = nullptr;
   power::Tl2PowerModel* pm2_ = nullptr;
   power::PowerProfile* profile_ = nullptr;

@@ -4,18 +4,22 @@
 
 namespace sct::hier {
 
-void AddressWatchTrigger::onSubmit(const bus::Tl1Request& req,
+bool AddressWatchTrigger::onSubmit(const bus::Tl1Request& req,
                                    std::uint64_t cycle) {
   const bus::Address lo = req.address;
   const bus::Address hi = lo + static_cast<bus::Address>(req.byteCount());
   for (const Window& w : windows_) {
     if (lo < w.base + w.size && w.base < hi) {
       ++hits_;
+      // A hit that does not extend the hold changes neither the answer
+      // nor the horizon.
       const std::uint64_t until = cycle + holdCycles_;
-      if (until > armedUntil_) armedUntil_ = until;
-      return;
+      if (until <= armedUntil_) return false;
+      armedUntil_ = until;
+      return true;
     }
   }
+  return false;
 }
 
 CycleWindowTrigger::CycleWindowTrigger(std::vector<Window> windows)

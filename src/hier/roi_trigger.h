@@ -42,15 +42,28 @@ class RoiTrigger {
   virtual bool wantsRoi(std::uint64_t cycle) = 0;
 
   /// Earliest future cycle this trigger's answer could change on its
-  /// own (sim::Clock::kNeverWake when it is purely input-driven).
-  /// Input events — submits, energy — wake the controller anyway.
+  /// own (sim::Clock::kNeverWake when it is purely input-driven). The
+  /// controller parks until the earliest horizon; input events wake it
+  /// earlier only as onSubmit() and consumesEnergy() ask.
   virtual std::uint64_t nextDecisionCycle(std::uint64_t /*cycle*/) const {
     return sim::Clock::kNeverWake;
   }
 
-  /// An accepted submission on the hybrid bus.
-  virtual void onSubmit(const bus::Tl1Request& /*req*/,
-                        std::uint64_t /*cycle*/) {}
+  /// An accepted submission on the hybrid bus. Returns true when it may
+  /// have changed this trigger's answer or horizon: the controller
+  /// wakes to re-decide within the same edge only then. A submission
+  /// that leaves both unchanged must return false — that keeps the
+  /// controller parked through TL2 regions.
+  virtual bool onSubmit(const bus::Tl1Request& /*req*/,
+                        std::uint64_t /*cycle*/) {
+    return false;
+  }
+
+  /// Does this trigger read onEnergy()? The controller reads the power
+  /// models only when an attached trigger does. Such a trigger's answer
+  /// depends on when energy is fed, so the controller then also wakes
+  /// on every accepted submission and feeds it.
+  virtual bool consumesEnergy() const { return false; }
 
   /// Energy accrued by the bus power models since the last feed (fJ).
   virtual void onEnergy(double /*fJ*/, std::uint64_t /*cycle*/) {}
@@ -73,7 +86,8 @@ class AddressWatchTrigger final : public RoiTrigger {
   std::uint64_t nextDecisionCycle(std::uint64_t cycle) const override {
     return cycle < armedUntil_ ? armedUntil_ : sim::Clock::kNeverWake;
   }
-  void onSubmit(const bus::Tl1Request& req, std::uint64_t cycle) override;
+  /// True on a window hit that arms the ROI or extends its hold.
+  bool onSubmit(const bus::Tl1Request& req, std::uint64_t cycle) override;
 
   bool armed(std::uint64_t cycle) const { return cycle < armedUntil_; }
   std::uint64_t hits() const { return hits_; }
@@ -119,6 +133,7 @@ class EnergyBudgetTrigger final : public RoiTrigger {
 
   bool wantsRoi(std::uint64_t cycle) override;
   std::uint64_t nextDecisionCycle(std::uint64_t cycle) const override;
+  bool consumesEnergy() const override { return true; }
   void onEnergy(double fJ, std::uint64_t cycle) override;
 
   std::uint64_t windowsTripped() const { return windowsTripped_; }

@@ -16,15 +16,19 @@
 // memory identical to the pure reference.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "../testbench.h"
 #include "bus/ec_signals.h"
+#include "bus/tl2_bridge.h"
 #include "hier/fidelity_controller.h"
 #include "hier/hybrid_bus.h"
 #include "hier/roi_trigger.h"
 #include "obs/ledger.h"
+#include "obs/stats.h"
 #include "power/budget.h"
 #include "power/profile.h"
 #include "power/tl1_power_model.h"
@@ -302,6 +306,284 @@ TEST(HybridEquivalence, EnergyBudgetSwitchesMatchPerCycleTl2) {
   }
   EXPECT_EQ(ev.tl1_fJ, pc.tl1_fJ);
   EXPECT_EQ(ev.tl2_fJ, pc.tl2_fJ);
+}
+
+// --- The submit-wake rule ---------------------------------------------------
+//
+// The controller wakes on a submission only when a trigger reports that
+// its answer or horizon moved (AddressWatchTrigger: a hit that arms or
+// extends the hold). The oracle is the always-wake rule: a wrapper that
+// forwards everything to an AddressWatchTrigger but asks for a wake on
+// every submission. Both must leave identical regions, switches, drain
+// waits, model totals and per-request finish cycles.
+
+class AlwaysWakeWatch final : public RoiTrigger {
+ public:
+  explicit AlwaysWakeWatch(AddressWatchTrigger& inner) : inner_(inner) {}
+  bool wantsRoi(std::uint64_t cycle) override {
+    return inner_.wantsRoi(cycle);
+  }
+  std::uint64_t nextDecisionCycle(std::uint64_t cycle) const override {
+    return inner_.nextDecisionCycle(cycle);
+  }
+  bool onSubmit(const bus::Tl1Request& req, std::uint64_t cycle) override {
+    inner_.onSubmit(req, cycle);
+    return true;
+  }
+
+ private:
+  AddressWatchTrigger& inner_;
+};
+
+/// The SPA acquisition shape over the test platform: per round a few
+/// fast-region reads (watch misses), then 8 operand writes and 4 result
+/// reads into the watched window at the base of the waited region,
+/// then an idle gap long enough for the hold to expire.
+trace::BusTrace spaShaped(std::uint64_t seed) {
+  trace::BusTrace t;
+  std::uint64_t cycle = 10;
+  std::uint64_t v = seed | 1;
+  auto next = [&v] {
+    v ^= v << 13;
+    v ^= v >> 7;
+    v ^= v << 17;
+    return static_cast<bus::Word>(v);
+  };
+  for (int round = 0; round < 24; ++round) {
+    for (bus::Address i = 0; i < 3; ++i) {
+      trace::TraceEntry e;
+      e.issueCycle = cycle++;
+      e.address = 0x100 + 16 * i + 4 * (next() & 3u);
+      t.append(e);
+    }
+    for (bus::Address i = 0; i < 8; ++i) {
+      trace::TraceEntry e;
+      e.issueCycle = cycle++;
+      e.kind = bus::Kind::Write;
+      e.address = 0x8000 + 4 * i;
+      e.writeData[0] = next();
+      t.append(e);
+    }
+    for (bus::Address i = 0; i < 4; ++i) {
+      trace::TraceEntry e;
+      e.issueCycle = cycle++;
+      e.address = 0x8020 + 4 * i;
+      t.append(e);
+    }
+    cycle += 150;
+  }
+  return t;
+}
+
+/// What a watch-driven hybrid run leaves behind.
+struct WatchRun {
+  std::vector<FidelityController::Region> regions;
+  std::uint64_t switches = 0;
+  std::uint64_t drainWaitCycles = 0;
+  std::uint64_t hits = 0;
+  double tl1_fJ = 0.0;
+  double tl2_fJ = 0.0;
+  std::uint64_t elapsed = 0;
+  /// Cycle at which the master collected each request (stepped runs).
+  std::vector<std::uint64_t> finishCycles;
+  std::vector<bus::BusStatus> results;
+  std::vector<std::array<bus::Word, 4>> data;
+};
+
+/// Record the cycle each request's result reached the master: a
+/// collected payload is Idle with a final result. The master keeps at
+/// most its in-flight window open, so the scan from `first` is short.
+void noteFinished(const std::vector<bus::Tl1Request>& reqs,
+                  std::vector<std::uint64_t>& finish, std::size_t& first,
+                  std::uint64_t cycle) {
+  for (std::size_t i = first; i < reqs.size(); ++i) {
+    const bus::Tl1Request& q = reqs[i];
+    if (finish[i] == 0 && q.stage == bus::Tl1Stage::Idle &&
+        q.result != bus::BusStatus::Wait) {
+      finish[i] = cycle;
+    }
+  }
+  while (first < reqs.size() && finish[first] != 0) ++first;
+}
+
+/// `stepped` runs one cycle at a time to record per-request finish
+/// cycles; otherwise the replay runs to completion in one warping call.
+WatchRun watchRun(const trace::BusTrace& t,
+                  const std::vector<AddressWatchTrigger::Window>& windows,
+                  bool alwaysWake, bool stepped) {
+  const auto table = distinctTable();
+  sim::Kernel kernel;
+  sim::Clock clk{kernel, "clk", 10};
+  HybridBus hb{clk, "ecbus"};
+  bus::MemorySlave fast{"ram", testbench::fastCtl()};
+  bus::MemorySlave waited{"eeprom", testbench::waitedCtl()};
+  hb.attach(fast);
+  hb.attach(waited);
+  power::Tl1PowerModel pm1(table);
+  hb.tl1().addObserver(pm1);
+  power::Tl2PowerModel pm2(table);
+  hb.tl2().addObserver(pm2);
+
+  FidelityController ctrl(clk, hb);
+  AddressWatchTrigger watch(windows, /*holdCycles=*/48);
+  AlwaysWakeWatch always(watch);
+  if (alwaysWake) {
+    ctrl.addTrigger(always);
+  } else {
+    ctrl.addTrigger(watch);
+  }
+  ctrl.attachPower(pm1, pm2);
+
+  trace::ReplayMaster m(clk, "m", hb, hb, t);
+  WatchRun r;
+  if (stepped) {
+    r.finishCycles.assign(t.size(), 0);
+    std::size_t first = 0;
+    const std::uint64_t start = clk.cycle();
+    while (!m.done()) {
+      clk.runCycles(1);
+      noteFinished(m.requests(), r.finishCycles, first, clk.cycle());
+    }
+    r.elapsed = clk.cycle() - start;
+  } else {
+    r.elapsed = m.runToCompletion();
+  }
+  EXPECT_TRUE(m.done());
+  ctrl.finalize();
+  r.regions = ctrl.regions();
+  r.switches = ctrl.switches();
+  r.drainWaitCycles = ctrl.drainWaitCycles();
+  r.hits = watch.hits();
+  r.tl1_fJ = pm1.totalEnergy_fJ();
+  r.tl2_fJ = pm2.totalEnergy_fJ();
+  for (const bus::Tl1Request& q : m.requests()) {
+    r.results.push_back(q.result);
+    r.data.push_back(q.data);
+  }
+  return r;
+}
+
+void expectSameRun(const WatchRun& a, const WatchRun& b) {
+  ASSERT_EQ(a.regions.size(), b.regions.size());
+  for (std::size_t i = 0; i < b.regions.size(); ++i) {
+    SCOPED_TRACE("region " + std::to_string(i));
+    EXPECT_EQ(a.regions[i].fidelity, b.regions[i].fidelity);
+    EXPECT_EQ(a.regions[i].fromCycle, b.regions[i].fromCycle);
+    EXPECT_EQ(a.regions[i].toCycle, b.regions[i].toCycle);
+    EXPECT_EQ(a.regions[i].energy_fJ, b.regions[i].energy_fJ);
+  }
+  EXPECT_EQ(a.switches, b.switches);
+  EXPECT_EQ(a.drainWaitCycles, b.drainWaitCycles);
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.tl1_fJ, b.tl1_fJ);
+  EXPECT_EQ(a.tl2_fJ, b.tl2_fJ);
+  EXPECT_EQ(a.elapsed, b.elapsed);
+  EXPECT_EQ(a.finishCycles, b.finishCycles);
+  EXPECT_EQ(a.results, b.results);
+  EXPECT_EQ(a.data, b.data);
+}
+
+TEST(HybridEquivalence, SubmitWakeRuleMatchesAlwaysWakeOracle) {
+  struct Case {
+    const char* name;
+    trace::BusTrace trace;
+    std::vector<AddressWatchTrigger::Window> windows;
+  };
+  const std::vector<Case> cases = {
+      {"spa", spaShaped(0x5a), {{0x8000, 0x40}}},
+      // Dense back-to-back traffic over both regions; the window covers
+      // the first 256 bytes of the waited region, so hits (and
+      // switches) arrive at random.
+      {"dense",
+       trace::randomMix(77, 600, testbench::bothRegions(), trace::MixRatios{},
+                        /*issueGapMax=*/0),
+       {{0x8000, 0x100}}},
+  };
+  for (const Case& c : cases) {
+    for (const bool stepped : {false, true}) {
+      SCOPED_TRACE(std::string(c.name) + (stepped ? ", stepped" : ""));
+      const WatchRun shipped = watchRun(c.trace, c.windows, false, stepped);
+      const WatchRun oracle = watchRun(c.trace, c.windows, true, stepped);
+      EXPECT_GT(shipped.switches, 4u);
+      EXPECT_GT(shipped.hits, 0u);
+      expectSameRun(shipped, oracle);
+      if (stepped) {
+        for (const std::uint64_t f : shipped.finishCycles) EXPECT_GT(f, 0u);
+      }
+    }
+  }
+}
+
+/// Clock parks from the second cycle to the end of the replay. The first
+/// cycle is left out: a controller parks once there, on its first tick,
+/// at its never-wake horizon.
+std::uint64_t parksAfterFirstCycle(sim::Clock& clk,
+                                   trace::ReplayMaster& m) {
+  obs::StatsRegistry reg;
+  clk.runCycles(1);
+  clk.attachObs(reg);
+  m.runToCompletion();
+  EXPECT_TRUE(m.done());
+  return reg.counter("clk.parks").value();
+}
+
+TEST(HybridEquivalence, UnhitWatchAddsNoClockWakeUps) {
+  // The hybrid twin of Tl2EventEquivalence.LazyModelAddsNoClockWakeUps:
+  // with a watch window the trace never touches, the controller stays
+  // parked through the whole TL2 run, so the clock parks exactly as
+  // often as a plain bridged TL2 run over the same trace.
+  const auto table = distinctTable();
+  const auto t = trace::randomMix(19, 400, testbench::bothRegions(),
+                                  trace::MixRatios{}, /*issueGapMax=*/40);
+
+  std::uint64_t hybridParks = 0;
+  std::uint64_t hybridFinish = 0;
+  {
+    sim::Kernel kernel;
+    sim::Clock clk{kernel, "clk", 10};
+    HybridBus hb{clk, "ecbus"};
+    bus::MemorySlave fast{"ram", testbench::fastCtl()};
+    bus::MemorySlave waited{"eeprom", testbench::waitedCtl()};
+    hb.attach(fast);
+    hb.attach(waited);
+    power::Tl1PowerModel pm1(table);
+    hb.tl1().addObserver(pm1);
+    power::Tl2PowerModel pm2(table);
+    hb.tl2().addObserver(pm2);
+    FidelityController ctrl(clk, hb);
+    AddressWatchTrigger watch({{0x4000, 0x100}});  // Unmapped: never hit.
+    ctrl.addTrigger(watch);
+    ctrl.attachPower(pm1, pm2);
+    trace::ReplayMaster m(clk, "m", hb, hb, t);
+    hybridParks = parksAfterFirstCycle(clk, m);
+    hybridFinish = m.stats().finishCycle;
+    ctrl.finalize();
+    EXPECT_EQ(watch.hits(), 0u);
+    EXPECT_EQ(ctrl.switches(), 0u);
+  }
+
+  std::uint64_t bridgedParks = 0;
+  std::uint64_t bridgedFinish = 0;
+  {
+    sim::Kernel kernel;
+    sim::Clock clk{kernel, "clk", 10};
+    bus::BridgedTl2Bus bb{clk, "ecbus"};
+    bus::MemorySlave fast{"ram", testbench::fastCtl()};
+    bus::MemorySlave waited{"eeprom", testbench::waitedCtl()};
+    bb.attach(fast);
+    bb.attach(waited);
+    power::Tl2PowerModel pm2(table);
+    bb.addObserver(pm2);
+    trace::ReplayMaster m(clk, "m", bb, bb, t);
+    bridgedParks = parksAfterFirstCycle(clk, m);
+    bridgedFinish = m.stats().finishCycle;
+  }
+
+  if constexpr (obs::kEnabled) {
+    EXPECT_GT(bridgedParks, 100u);
+  }
+  EXPECT_EQ(hybridParks, bridgedParks);
+  EXPECT_EQ(hybridFinish, bridgedFinish);
 }
 
 } // namespace
