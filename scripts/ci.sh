@@ -44,11 +44,13 @@ for preset in release asan-ubsan obs-off; do
   # what each label covers): hybrid TL1/TL2 equivalence (hier),
   # restore-equivalence (ckpt), decoded-block dispatch (iss), the
   # card-farm daemon incl. its SIGTERM drain (serve), the eh, sca and
-  # enc threads=1 vs threads=N bit-identity headlines, and the Table 1
-  # Table 2 and Figure 6 pins (paper). ctest -L takes a regex, so each
-  # label is anchored: a bare "enc" would also select every
-  # "equivalence" test.
-  for label in hier ckpt iss serve eh sca enc paper; do
+  # enc threads=1 vs threads=N bit-identity headlines, the Table 1
+  # Table 2 and Figure 6 pins (paper), and the cross-layer oracles
+  # (equivalence): the power, layer and TL2-event equivalence suites
+  # against their reference paths, and the ledger reconcile suite.
+  # ctest -L takes a regex, so each label is anchored: a bare "enc"
+  # would also select every "equivalence" test.
+  for label in hier ckpt iss serve eh sca enc paper equivalence; do
     run ctest --preset "$preset" -L "^${label}\$" --parallel "$jobs"
   done
 done
