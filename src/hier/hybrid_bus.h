@@ -23,8 +23,9 @@
 //  * The inactive TL1 process is parked (Tl1Bus::suspendProcess), so
 //    TL2 regions keep the event-driven clock warp; its power model
 //    sees no callbacks, which is what keeps hybrid TL1-region energy
-//    accumulation bit-identical to a pure-TL1 run over the same
-//    transactions (idle TL1 cycles only ever add +0.0).
+//    bit-identical to a pure-TL1 run over the same transactions (it
+//    prices the same integer bus::Energy terms, and an idle TL1 cycle
+//    prices zero).
 #ifndef SCT_HIER_HYBRID_BUS_H
 #define SCT_HIER_HYBRID_BUS_H
 
