@@ -129,7 +129,7 @@ class Tl2MasterBridge final : public EcInstrIf, public EcDataIf {
   struct Slot {
     Tl1Request* owner = nullptr;  ///< Upper payload while in flight.
     Tl2Request lower;
-    std::array<std::uint8_t, 16> buffer;
+    std::array<std::uint8_t, 16> buffer{};
   };
 
   BusStatus transport(Tl1Request& req);
